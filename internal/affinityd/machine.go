@@ -35,7 +35,10 @@ var errOverloaded = errors.New("affinityd: admission queue full")
 // never contends, and metric scrapes lock one pool at a time.
 type poolDomain struct {
 	interleave int
-	start      uint64
+	// start is the pool's virtual base, 0 until the pool exists: a domain
+	// can predate its pool (a page-mapped placement reports an interleave
+	// no pooled allocation has used yet).
+	start atomic.Uint64
 
 	mu     sync.Mutex
 	allocs uint64
@@ -61,7 +64,7 @@ func (d *poolDomain) info() PoolInfo {
 	defer d.mu.Unlock()
 	return PoolInfo{
 		Interleave: d.interleave,
-		Start:      d.start,
+		Start:      d.start.Load(),
 		Allocs:     d.allocs,
 		Frees:      d.frees,
 		Bytes:      d.bytes,
@@ -80,17 +83,19 @@ func (t *poolTable) domain(interleave int, start uint64) *poolDomain {
 	t.mu.RLock()
 	d := t.domains[interleave]
 	t.mu.RUnlock()
-	if d != nil {
-		return d
+	if d == nil {
+		t.mu.Lock()
+		if t.domains == nil {
+			t.domains = make(map[int]*poolDomain)
+		}
+		if d = t.domains[interleave]; d == nil {
+			d = &poolDomain{interleave: interleave}
+			t.domains[interleave] = d
+		}
+		t.mu.Unlock()
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.domains == nil {
-		t.domains = make(map[int]*poolDomain)
-	}
-	if d = t.domains[interleave]; d == nil {
-		d = &poolDomain{interleave: interleave, start: start}
-		t.domains[interleave] = d
+	if start != 0 {
+		d.start.Store(start)
 	}
 	return d
 }
@@ -185,6 +190,11 @@ type machine struct {
 	sheds         atomic.Uint64
 	deadlineDrops atomic.Uint64
 	dedupHits     atomic.Uint64
+	// spaceBacked and poolUsed mirror the space's host bytes materialised
+	// and simulated bytes handed out (Σ Pool.Used) after each job, so a
+	// scrape can check that placement costs metadata only.
+	spaceBacked atomic.Uint64
+	poolUsed    atomic.Uint64
 
 	// latency is the server-wide placement-latency histogram (shared
 	// across machines; the worker observes one sample per placement).
@@ -413,8 +423,19 @@ func (m *machine) maybeSnapshot() {
 	}
 }
 
+// publishFootprint refreshes the lock-free footprint mirrors.
+func (m *machine) publishFootprint() {
+	var used uint64
+	for _, p := range m.sys.Space.Pools() {
+		used += uint64(p.Used)
+	}
+	m.poolUsed.Store(used)
+	m.spaceBacked.Store(uint64(m.sys.Space.BackedBytes()))
+}
+
 // apply executes one job body against the owned placement state.
 func (m *machine) apply(j *job) jobResult {
+	defer m.publishFootprint()
 	if j.openPool != 0 {
 		pool, err := m.execOpenPool(j.openPool)
 		return jobResult{pool: pool, err: err}
@@ -599,12 +620,12 @@ func (m *machine) execFrees(ids []string) []FreeResult {
 
 // poolFor resolves the lock domain of an interleaving. Interleave 0 —
 // baseline-heap placements with no pool — shares one "no pool" domain.
+// The lookup is read-only: bookkeeping must never open a pool, or slot
+// order (hence every later base address) would diverge from the library.
 func (m *machine) poolFor(interleave int) *poolDomain {
 	var start uint64
-	if interleave > 0 {
-		if p, err := m.sys.OpenPool(interleave); err == nil {
-			start = uint64(p.Start)
-		}
+	if p := m.sys.Space.PoolIfOpen(interleave); p != nil {
+		start = uint64(p.Start)
 	}
 	return m.pools.domain(interleave, start)
 }

@@ -565,6 +565,8 @@ func (s *Server) MetricsDocument() *telemetry.Document {
 		r.Set("sheds", m.sheds.Load())
 		r.Set("deadline_drops", m.deadlineDrops.Load())
 		r.Set("batch_dedup_hits", m.dedupHits.Load())
+		r.Set("space_backed_bytes", m.spaceBacked.Load())
+		r.Set("pool_used_bytes", m.poolUsed.Load())
 		if m.journal != nil || m.journalSeq.Load() > 0 {
 			r.Set("journal_seq", m.journalSeq.Load())
 			r.Set("snapshots", m.snapshots.Load())
@@ -624,7 +626,5 @@ func (s *Server) fail(w http.ResponseWriter, code int, err error) {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }

@@ -392,6 +392,9 @@ func (r *Runtime) poolRange(intrlv int, bytes int64, wantBank int) (memsim.Addr,
 	// Reuse a freed extent when one fits after phase alignment.
 	ranges := r.freeRanges[intrlv]
 	for i, fr := range ranges {
+		if fr.size < bytes {
+			continue // cannot fit even unpadded; skip align's divisions
+		}
 		base := align(fr.start)
 		pad := int64(base - fr.start)
 		if pad+bytes <= fr.size {

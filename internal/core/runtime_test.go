@@ -8,16 +8,16 @@ import (
 	"affinityalloc/internal/topo"
 )
 
-func newRuntime(t *testing.T, pcfg PolicyConfig) *Runtime {
-	t.Helper()
+func newRuntime(tb testing.TB, pcfg PolicyConfig) *Runtime {
+	tb.Helper()
 	space, err := memsim.NewSpace(memsim.DefaultConfig())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	mesh := topo.MustMesh(8, 8, topo.RowMajor)
 	r, err := New(space, mesh, pcfg, 7)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return r
 }

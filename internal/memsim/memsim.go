@@ -351,6 +351,13 @@ func (s *Space) Pool(interleave int) (*Pool, error) {
 	return p, nil
 }
 
+// PoolIfOpen returns the pool of an interleaving without creating it: nil
+// until some allocation or OpenPool has reserved it.
+func (s *Space) PoolIfOpen(interleave int) *Pool { return s.poolByIl[interleave] }
+
+// Pools returns the open pools in slot order; callers must not modify it.
+func (s *Space) Pools() []*Pool { return s.poolSlots }
+
 // ExpandPool grows a pool's usable extent by at least bytes (rounded up to
 // whole pages) and returns the virtual base of the newly usable region.
 // This is the brk-style syscall the runtime issues when a free list runs
@@ -366,14 +373,6 @@ func (s *Space) ExpandPool(interleave int, bytes Addr) (Addr, error) {
 	}
 	base := p.Start + p.Used
 	p.Used += bytes
-	need := int(p.Used)
-	if cap(p.data) < need {
-		grown := make([]byte, need, growCap(cap(p.data), need))
-		copy(grown, p.data)
-		p.data = grown
-	} else {
-		p.data = p.data[:need]
-	}
 	s.PoolExpansions++
 	return base, nil
 }
@@ -405,15 +404,33 @@ func (s *Space) HeapBrk(bytes Addr) (Addr, error) {
 	}
 	base := HeapBase + s.heapUsed
 	s.heapUsed += bytes
-	need := int(s.heapUsed)
-	if cap(s.heap) < need {
-		grown := make([]byte, need, growCap(cap(s.heap), need))
-		copy(grown, s.heap)
-		s.heap = grown
-	} else {
-		s.heap = s.heap[:need]
-	}
 	return base, nil
+}
+
+// materialise grows a region's backing slice to its current extent. The
+// allocation calls above only move extents; bytes appear — contiguous and
+// zero-filled — when an access first reaches past the slice, so
+// placement-only users (affinityd, trace.Replay) never pay for payload.
+func materialise(data []byte, extent int) []byte {
+	if cap(data) >= extent {
+		return data[:extent]
+	}
+	grown := make([]byte, extent, growCap(cap(data), extent))
+	copy(grown, data)
+	return grown
+}
+
+// BackedBytes returns the host bytes materialised behind the space so
+// far: zero until some simulated byte is read or written.
+func (s *Space) BackedBytes() int {
+	n := len(s.heap)
+	if s.pm != nil {
+		n += len(s.pm.data)
+	}
+	for _, p := range s.poolSlots {
+		n += len(p.data)
+	}
+	return n
 }
 
 func growCap(have, need int) int {
@@ -652,21 +669,27 @@ func (s *Space) backing(va Addr, n int) ([]byte, error) {
 	if p := s.PoolOf(va); p != nil {
 		off := int(va - p.Start)
 		if off+n > len(p.data) {
-			return nil, fmt.Errorf("memsim: pool access %#x+%d beyond extent", uint64(va), n)
+			if p.data = materialise(p.data, int(p.Used)); off+n > len(p.data) {
+				return nil, fmt.Errorf("memsim: pool access %#x+%d beyond extent", uint64(va), n)
+			}
 		}
 		return p.data[off : off+n], nil
 	}
 	if pm := s.pageMapOf(va); pm != nil {
 		off := int(va - PageMapBase)
 		if off+n > len(pm.data) {
-			return nil, fmt.Errorf("memsim: page-mapped access %#x+%d beyond extent", uint64(va), n)
+			if pm.data = materialise(pm.data, len(pm.pagePhys)*PageSize); off+n > len(pm.data) {
+				return nil, fmt.Errorf("memsim: page-mapped access %#x+%d beyond extent", uint64(va), n)
+			}
 		}
 		return pm.data[off : off+n], nil
 	}
 	if va >= HeapBase && va < HeapBase+s.heapUsed {
 		off := int(va - HeapBase)
 		if off+n > len(s.heap) {
-			return nil, fmt.Errorf("memsim: heap access %#x+%d beyond extent", uint64(va), n)
+			if s.heap = materialise(s.heap, int(s.heapUsed)); off+n > len(s.heap) {
+				return nil, fmt.Errorf("memsim: heap access %#x+%d beyond extent", uint64(va), n)
+			}
 		}
 		return s.heap[off : off+n], nil
 	}

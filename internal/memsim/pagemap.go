@@ -70,14 +70,6 @@ func (s *Space) AllocPageMapped(banks []int) (Addr, error) {
 		// Physical page index with phase == bank under 4kB interleave.
 		pm.pagePhys = append(pm.pagePhys, PAddr(k*s.cfg.Banks+bank))
 	}
-	need := len(pm.pagePhys) * PageSize
-	if cap(pm.data) < need {
-		grown := make([]byte, need, growCap(cap(pm.data), need))
-		copy(grown, pm.data)
-		pm.data = grown
-	} else {
-		pm.data = pm.data[:need]
-	}
 	return base, nil
 }
 
