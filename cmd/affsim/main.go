@@ -20,9 +20,9 @@
 // are byte-identical for every -j. Timing accounting goes to stderr,
 // keeping stdout deterministic.
 //
-// For wall-clock performance measurement (ns/op, allocs/op,
-// sim-cycles/sec) and the committed BENCH_*.json baselines, use
-// cmd/affbench; this binary reports simulated results only.
+// For wall-clock performance measurement (host time, allocations,
+// sim-cycles/sec), use `go run ./benchmark`; this binary reports
+// simulated results only.
 package main
 
 import (
@@ -233,7 +233,7 @@ func runReplay(cc *cliconf.Config) error {
 		for t := 0; t < sc.NumTenants(); t++ {
 			allocs += sc.AllocCount(t)
 		}
-		res, err := trace.Replay(sc, trace.Options{Shards: cc.Shards})
+		res, err := trace.Replay(sc, trace.Options{})
 		if err != nil {
 			diverged++
 			tbl.AddRow(sc.Label, sc.Mode, sc.NumTenants(), allocs, sc.Cycles, "FAILED", "-", err.Error())
@@ -291,7 +291,6 @@ func runWorkload(cc *cliconf.Config, opt harness.Options, name, modeStr string, 
 	cfg.Seed = opt.Seed
 	cfg.Policy = pcfg
 	cfg.Faults = opt.Faults
-	cfg.Shards = opt.Shards
 	cfg.Realloc = opt.Realloc
 	var base workloads.Result
 	var cells []harness.CollectedCell

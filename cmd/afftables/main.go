@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	afftables [-scale tiny|default|paper] [-seed N] [-j N] [-shards K] [-timing]
+//	afftables [-scale tiny|default|paper] [-seed N] [-j N] [-timing]
 //	          [-o report.txt] [-only fig12,fig13]
 //	          [-faults dead-banks=2] [-faults-sweep] [-colocation]
 //	          [-realloc epoch=2000,...] [-realloc-sweep]
@@ -15,9 +15,9 @@
 // -metrics-out / -trace-out files — are byte-identical for every -j.
 // Per-experiment timing goes to stderr, never into the report.
 //
-// For wall-clock performance measurement (ns/op, allocs/op,
-// sim-cycles/sec) and the committed BENCH_*.json baselines, use
-// cmd/affbench; this binary reports simulated results only.
+// For wall-clock performance measurement (host time, allocations,
+// sim-cycles/sec), use `go run ./benchmark`; this binary reports
+// simulated results only.
 package main
 
 import (

@@ -81,23 +81,6 @@ type MemSystem struct {
 	// composes with trace recording, and it runs after the kill check so
 	// an epoch closing at cycle T observes any bank killed at T.
 	onAccess func(now engine.Time, va memsim.Addr)
-
-	// clocks, when attached, turn bank-occupancy and DRAM-completion
-	// accounting into retirement events scheduled at the completion cycle
-	// (see AttachClock). The handlers are bound once so scheduling
-	// allocates nothing. bankSim/chanSim route each retirement to the
-	// kernel shard owning the bank or channel, so the coordinator's
-	// parallel drain updates every per-entity counter from exactly one
-	// goroutine; the shared DRAMReads/DRAMWrites scalars accumulate into
-	// per-shard delta slots folded in on drain.
-	clocks                   *engine.Coordinator
-	bankSim                  []*engine.Sim
-	chanSim                  []*engine.Sim
-	chanShard                []int
-	dramRdDelta, dramWrDelta []uint64
-	bankBusyFn               func(uint64)
-	dramRdFn                 func(uint64)
-	dramWrFn                 func(uint64)
 }
 
 // NewMemSystem wires banks, controllers and DRAM channels over the mesh.
@@ -138,107 +121,6 @@ func NewMemSystem(space *memsim.Space, net *noc.Network, cfg MemSysConfig) (*Mem
 		}
 	}
 	return m, nil
-}
-
-// Retirement events pack (index, amount) into the ScheduleArg argument:
-// bank-occupancy events use a 24-bit amount (per-access occupancy is a
-// few cycles), DRAM events a 48-bit one (channel queueing waits can grow
-// long under blackout faults). Indexes are bank/channel numbers.
-const (
-	bankBusyBits = 24
-	dramWaitBits = 48
-)
-
-// AttachClock defers bank-occupancy and DRAM channel accounting through
-// the event kernel: each L3 access schedules its bank-busy charge at the
-// access start cycle, and each DRAM read/writeback schedules its channel
-// counters (access count + queue-cycles) at the channel service start.
-// The updates are commutative adds, so readers that drain first (all
-// accessors here do) observe exactly the inline totals.
-//
-// bankShard assigns each bank to a kernel shard; a bank's retirements run
-// on its owning shard and a channel's on the shard of its controller
-// bank, so parallel shard drains touch disjoint per-entity counters. The
-// machine-wide DRAMReads/DRAMWrites scalars are accumulated in per-shard
-// delta slots and folded in on drain. A nil bankShard puts everything on
-// shard 0; a nil coordinator restores inline accounting.
-func (m *MemSystem) AttachClock(clocks *engine.Coordinator, bankShard []int) {
-	m.clocks = clocks
-	if clocks == nil {
-		m.bankSim, m.chanSim, m.chanShard = nil, nil, nil
-		m.dramRdDelta, m.dramWrDelta = nil, nil
-		m.bankBusyFn, m.dramRdFn, m.dramWrFn = nil, nil, nil
-		return
-	}
-	shardOf := func(bank int) int {
-		if bankShard == nil {
-			return 0
-		}
-		return bankShard[bank]
-	}
-	m.bankSim = make([]*engine.Sim, len(m.banks))
-	for b := range m.bankSim {
-		m.bankSim[b] = clocks.Shard(shardOf(b))
-	}
-	m.chanSim = make([]*engine.Sim, len(m.ctrls))
-	m.chanShard = make([]int, len(m.ctrls))
-	for ci, ctrl := range m.ctrls {
-		m.chanShard[ci] = shardOf(ctrl)
-		m.chanSim[ci] = clocks.Shard(m.chanShard[ci])
-	}
-	m.dramRdDelta = make([]uint64, clocks.NumShards())
-	m.dramWrDelta = make([]uint64, clocks.NumShards())
-	m.bankBusyFn = func(arg uint64) {
-		m.bankBusy[arg>>bankBusyBits] += arg & (1<<bankBusyBits - 1)
-	}
-	m.dramRdFn = func(arg uint64) {
-		ci := arg >> dramWaitBits
-		m.dramRdDelta[m.chanShard[ci]]++
-		m.chanReads[ci]++
-		m.chanQueueCycles[ci] += arg & (1<<dramWaitBits - 1)
-	}
-	m.dramWrFn = func(arg uint64) {
-		ci := arg >> dramWaitBits
-		m.dramWrDelta[m.chanShard[ci]]++
-		m.chanWrites[ci]++
-		m.chanQueueCycles[ci] += arg & (1<<dramWaitBits - 1)
-	}
-}
-
-// retire schedules one deferred accounting event on the owning shard,
-// draining that shard first when its queue has grown to the retirement
-// batch bound or when the event falls beyond the shard's ring window
-// (retirement cycles track analytic time, which races ahead of the
-// parked shard clock; flushing and re-anchoring the empty window at the
-// new cycle keeps every insert on the O(1) ring path instead of the
-// spill heap). Both are safe because retirement adds commute. The drain
-// uses DrainAccounting, never Run: a mid-run flush must leave the shard
-// clock exactly where it was (the clock fast-forward Run would cause was
-// harmless only while nothing read Now() between drains — with
-// per-shard clocks it would wreck the conservative horizon).
-func (m *MemSystem) retire(sim *engine.Sim, at engine.Time, fn func(uint64), arg uint64) {
-	if sim.Pending() >= engine.DrainPending || (sim.Pending() > 0 && !sim.InRing(at)) {
-		sim.DrainAccounting()
-	}
-	if sim.Pending() == 0 {
-		sim.Advance(at)
-	}
-	sim.ScheduleArg(at, fn, arg)
-}
-
-// drain retires pending accounting events before a counter read, leaving
-// every shard clock where it was, and folds the per-shard DRAM scalar
-// deltas into the machine-wide totals.
-func (m *MemSystem) drain() {
-	if m.clocks == nil {
-		return
-	}
-	m.clocks.DrainAccounting()
-	for sh := range m.dramRdDelta {
-		m.DRAMReads += m.dramRdDelta[sh]
-		m.DRAMWrites += m.dramWrDelta[sh]
-		m.dramRdDelta[sh], m.dramWrDelta[sh] = 0, 0
-	}
 }
 
 // Space returns the simulated address space.
@@ -325,11 +207,7 @@ func (m *MemSystem) AccessAt(now engine.Time, bank int, va memsim.Addr, write bo
 	}
 	line := uint64(memsim.Line(va))
 	start := m.bankSrv[bank].Reserve(now, int(m.cfg.BankOccupancy))
-	if m.clocks != nil {
-		m.retire(m.bankSim[bank], start, m.bankBusyFn, uint64(bank)<<bankBusyBits|uint64(m.cfg.BankOccupancy))
-	} else {
-		m.bankBusy[bank] += uint64(m.cfg.BankOccupancy)
-	}
+	m.bankBusy[bank] += uint64(m.cfg.BankOccupancy)
 
 	hit, victim, dirtyVictim := m.banks[bank].Access(line, write)
 	done = start + m.cfg.L3HitLatency
@@ -349,13 +227,9 @@ func (m *MemSystem) AccessAt(now engine.Time, bank int, va memsim.Addr, write bo
 		ready, latency = m.cfg.Faults.DRAMAdjust(ci, reqArrive, latency)
 	}
 	dramStart := m.dramSrv[ci].Reserve(ready, int(m.cfg.DRAMServe))
-	if m.clocks != nil {
-		m.retire(m.chanSim[ci], dramStart, m.dramRdFn, uint64(ci)<<dramWaitBits|uint64(dramStart-reqArrive))
-	} else {
-		m.DRAMReads++
-		m.chanReads[ci]++
-		m.chanQueueCycles[ci] += uint64(dramStart - reqArrive)
-	}
+	m.DRAMReads++
+	m.chanReads[ci]++
+	m.chanQueueCycles[ci] += uint64(dramStart - reqArrive)
 	dataReady := dramStart + latency
 	respArrive := m.net.Send(dataReady, ctrl, bank, noc.Data, memsim.LineSize)
 
@@ -368,13 +242,9 @@ func (m *MemSystem) AccessAt(now engine.Time, bank int, va memsim.Addr, write bo
 			wbReady, _ = m.cfg.Faults.DRAMAdjust(ci, wbArrive, 0)
 		}
 		wbStart := m.dramSrv[ci].Reserve(wbReady, int(m.cfg.DRAMServe))
-		if m.clocks != nil {
-			m.retire(m.chanSim[ci], wbStart, m.dramWrFn, uint64(ci)<<dramWaitBits|uint64(wbStart-wbArrive))
-		} else {
-			m.DRAMWrites++
-			m.chanWrites[ci]++
-			m.chanQueueCycles[ci] += uint64(wbStart - wbArrive)
-		}
+		m.DRAMWrites++
+		m.chanWrites[ci]++
+		m.chanQueueCycles[ci] += uint64(wbStart - wbArrive)
 		_ = victim
 	}
 	return respArrive, false
@@ -417,7 +287,6 @@ func (m *MemSystem) L3MissRate() float64 {
 // BankBusyCycles returns a copy of each bank port's accumulated busy
 // cycles.
 func (m *MemSystem) BankBusyCycles() []uint64 {
-	m.drain()
 	out := make([]uint64, len(m.bankBusy))
 	copy(out, m.bankBusy)
 	return out
@@ -430,7 +299,6 @@ func (m *MemSystem) Channels() int { return len(m.ctrls) }
 // series and the per-channel DRAM read/write/queue series into the
 // registry — the access-balance view behind Figs 5, 6 and 12.
 func (m *MemSystem) PublishTelemetry(r *telemetry.Registry) {
-	m.drain()
 	n := len(m.banks)
 	acc := make([]uint64, n)
 	hits := make([]uint64, n)
@@ -449,7 +317,6 @@ func (m *MemSystem) PublishTelemetry(r *telemetry.Registry) {
 
 // ResetStats clears bank and DRAM counters but keeps cache contents.
 func (m *MemSystem) ResetStats() {
-	m.drain() // retire in-flight accounting so it cannot leak past the reset
 	for _, b := range m.banks {
 		b.ResetStats()
 	}
@@ -475,27 +342,16 @@ func (m *MemSystem) MigrateLines(now engine.Time, from, to int, va memsim.Addr, 
 	end := va + memsim.Addr(bytes)
 	for line := memsim.LineAddr(va); line < end; line += memsim.LineSize {
 		rd := m.bankSrv[from].Reserve(now, int(m.cfg.BankOccupancy))
-		m.chargeBankBusy(from, rd)
+		m.bankBusy[from] += uint64(m.cfg.BankOccupancy)
 		arrive := m.net.Send(rd+m.cfg.L3HitLatency, from, to, noc.Data, memsim.LineSize)
 		wr := m.bankSrv[to].Reserve(arrive, int(m.cfg.BankOccupancy))
-		m.chargeBankBusy(to, wr)
+		m.bankBusy[to] += uint64(m.cfg.BankOccupancy)
 		m.banks[to].Install(uint64(memsim.Line(line)))
 		if fin := wr + m.cfg.L3HitLatency; fin > done {
 			done = fin
 		}
 	}
 	return done
-}
-
-// chargeBankBusy accounts one access worth of port occupancy at cycle
-// start, deferred through the event kernel when a coordinator is
-// attached (the same path AccessAt uses).
-func (m *MemSystem) chargeBankBusy(bank int, start engine.Time) {
-	if m.clocks != nil {
-		m.retire(m.bankSim[bank], start, m.bankBusyFn, uint64(bank)<<bankBusyBits|uint64(m.cfg.BankOccupancy))
-	} else {
-		m.bankBusy[bank] += uint64(m.cfg.BankOccupancy)
-	}
 }
 
 // MigrationCostModel returns the planner's per-line and per-hop cycle

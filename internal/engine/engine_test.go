@@ -1,70 +1,10 @@
 package engine
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
-
-func TestEventOrdering(t *testing.T) {
-	s := New(1)
-	var order []int
-	s.At(30, func() { order = append(order, 3) })
-	s.At(10, func() { order = append(order, 1) })
-	s.At(20, func() { order = append(order, 2) })
-	s.At(10, func() { order = append(order, 11) }) // same time: schedule order
-	end := s.Run()
-	if end != 30 {
-		t.Errorf("final time %d, want 30", end)
-	}
-	want := []int{1, 11, 2, 3}
-	if len(order) != len(want) {
-		t.Fatalf("order %v", order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order %v, want %v", order, want)
-		}
-	}
-}
-
-func TestSchedulingInPastClamps(t *testing.T) {
-	s := New(1)
-	s.At(100, func() {
-		s.At(50, func() {
-			if s.Now() != 100 {
-				t.Errorf("past event ran at %d, want clamped to 100", s.Now())
-			}
-		})
-	})
-	s.Run()
-}
-
-func TestAfterAndRunUntil(t *testing.T) {
-	s := New(1)
-	fired := 0
-	s.After(10, func() { fired++ })
-	s.After(20, func() { fired++ })
-	s.RunUntil(15)
-	if fired != 1 {
-		t.Errorf("fired %d events by t=15, want 1", fired)
-	}
-	if s.Pending() != 1 {
-		t.Errorf("pending %d, want 1", s.Pending())
-	}
-	s.Run()
-	if fired != 2 {
-		t.Errorf("fired %d total, want 2", fired)
-	}
-}
-
-func TestAdvanceNeverRewinds(t *testing.T) {
-	s := New(1)
-	s.Advance(100)
-	s.Advance(50)
-	if s.Now() != 100 {
-		t.Errorf("Now = %d, want 100", s.Now())
-	}
-}
 
 func TestServerBackfillsIdleCapacity(t *testing.T) {
 	srv := NewServer(1, 1, 64)
@@ -150,5 +90,127 @@ func TestMinMaxTime(t *testing.T) {
 	}
 	if MinTime(3, 5) != 3 || MinTime(5, 3) != 3 {
 		t.Error("MinTime wrong")
+	}
+}
+
+// TestSameCycleFIFO: requests for the same cycle are granted in call
+// order, and a saturated server hands out its capacity without gaps.
+func TestSameCycleFIFO(t *testing.T) {
+	srv := NewServer(1, 1, 64)
+	for k := 0; k < 16; k++ {
+		if got := srv.Reserve(20, 1); got != Time(20+k) {
+			t.Fatalf("request %d at cycle 20 granted at %d, want %d", k, got, 20+k)
+		}
+	}
+}
+
+// TestSchedulingInPastClamps: once the window has slid past a cycle, a
+// request for that cycle is granted no earlier than the window base —
+// the forgotten past counts as full, never as free.
+func TestSchedulingInPastClamps(t *testing.T) {
+	srv := NewServer(1, 8, 16)
+	srv.Reserve(10_000, 1)
+	base := srv.base
+	if base == 0 {
+		t.Fatal("window did not slide")
+	}
+	for _, at := range []Time{0, 1, base - 1} {
+		if got := srv.Reserve(at, 1); got < base {
+			t.Errorf("request at %d granted at %d, before the window base %d", at, got, base)
+		}
+	}
+}
+
+// TestAdvanceNeverRewinds: the window only moves forward. Requests
+// behind it, however old, never slide it back, so the horizon is
+// monotone over any sequence of reservations.
+func TestAdvanceNeverRewinds(t *testing.T) {
+	srv := NewServer(1, 4, 16)
+	rng := rand.New(rand.NewSource(1))
+	prev := srv.Horizon()
+	for i := 0; i < 2000; i++ {
+		srv.Reserve(Time(rng.Intn(20_000)), 1+rng.Intn(8))
+		h := srv.Horizon()
+		if h < prev {
+			t.Fatalf("reservation %d moved the horizon back from %d to %d", i, prev, h)
+		}
+		prev = h
+	}
+}
+
+// refCalendar is the Server's rule without the sliding window: an
+// unbounded per-bucket calendar where a request fills the first buckets
+// with room at or after its own, starting no earlier than it asked.
+type refCalendar struct {
+	width     Time
+	perBucket int
+	used      map[Time]int
+}
+
+func (c *refCalendar) reserve(at Time, units int) Time {
+	start, first := Time(0), true
+	for b := at / c.width; units > 0; b++ {
+		free := c.perBucket - c.used[b]
+		if free <= 0 {
+			continue
+		}
+		take := min(free, units)
+		c.used[b] += take
+		units -= take
+		if first {
+			first = false
+			start = MaxTime(at, b*c.width)
+		}
+	}
+	return start
+}
+
+// TestDifferentialDeterminism drives the Server and a reference calendar
+// with the same random out-of-order requests and requires identical
+// grants while the window never has to slide; a second Server fed the
+// same stream must grant the same cycles, and so must a pair of small
+// servers whose windows slide throughout.
+func TestDifferentialDeterminism(t *testing.T) {
+	const width, perCycle = 4, 2
+	srv, twin := NewServer(perCycle, width, 4096), NewServer(perCycle, width, 4096)
+	ref := &refCalendar{width: width, perBucket: perCycle * width, used: map[Time]int{}}
+	small, smallTwin := NewServer(perCycle, width, 16), NewServer(perCycle, width, 16)
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		at, units := Time(rng.Intn(4000)), 1+rng.Intn(8)
+		got := srv.Reserve(at, units)
+		if want := ref.reserve(at, units); got != want {
+			t.Fatalf("request %d (at %d, %d units): server granted %d, reference %d", i, at, units, got, want)
+		}
+		if again := twin.Reserve(at, units); again != got {
+			t.Fatalf("request %d: twin server granted %d, first granted %d", i, again, got)
+		}
+		if a, b := small.Reserve(at, units), smallTwin.Reserve(at, units); a != b {
+			t.Fatalf("request %d: sliding servers granted %d and %d", i, a, b)
+		}
+	}
+	if srv.base != 0 {
+		t.Fatalf("the large window slid to %d; the reference comparison assumed it would not", srv.base)
+	}
+	if small.base == 0 {
+		t.Fatal("the small window never slid")
+	}
+}
+
+// TestZeroAllocSteadyState pins that Reserve, called for every modelled
+// request, allocates nothing — window slides included.
+func TestZeroAllocSteadyState(t *testing.T) {
+	srv := NewServer(2, 4, 64)
+	var at Time
+	allocs := testing.AllocsPerRun(1000, func() {
+		at += 3
+		srv.Reserve(at, 5)
+		srv.Reserve(at/2, 1) // out of order, behind the head
+	})
+	if allocs != 0 {
+		t.Errorf("Reserve allocated %.1f times per call pair, want 0", allocs)
+	}
+	if srv.base == 0 {
+		t.Error("window never slid; the slide path went unmeasured")
 	}
 }

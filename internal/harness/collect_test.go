@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"affinityalloc/internal/core"
+	"affinityalloc/internal/faults"
 	"affinityalloc/internal/sys"
 	"affinityalloc/internal/telemetry"
 	"affinityalloc/internal/trace"
@@ -61,6 +62,50 @@ func TestMetricsDocByteIdenticalAcrossJobs(t *testing.T) {
 		if len(c.Series["noc_link_flits"]) == 0 {
 			t.Errorf("cell %q has no per-link breakdown", c.Label)
 		}
+	}
+}
+
+// TestShardedHarnessByteIdentical pins fig4 end to end while the
+// harness shards its cells across workers: the rendered figure, the
+// metrics document and the Chrome trace must be byte-identical between
+// -j1 and -j8, on clean and faulted machines.
+func TestShardedHarnessByteIdentical(t *testing.T) {
+	render := func(jobs int, spec faults.Spec) (fig, metrics, trace string) {
+		var collect Collector
+		opt := Options{Scale: Tiny, Seed: 1, Jobs: jobs, Faults: spec, Collect: &collect}
+		f, err := Fig4(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var figBuf bytes.Buffer
+		f.Render(&figBuf)
+		var metricsBuf, traceBuf bytes.Buffer
+		arts := &Artifacts{MetricsOut: &metricsBuf, TraceOut: &traceBuf,
+			Experiment: "fig4", Scale: Tiny, Seed: 1}
+		if err := arts.Write(collect.Cells()); err != nil {
+			t.Fatal(err)
+		}
+		return figBuf.String(), metricsBuf.String(), traceBuf.String()
+	}
+
+	specs := map[string]faults.Spec{
+		"clean":   {},
+		"faulted": {Seed: 1, NDeadBanks: 1, NDeadLinks: 1, DRAM: []faults.DRAMFault{{Chan: 0, LatencyX: 2}}},
+	}
+	for name, spec := range specs {
+		t.Run(name, func(t *testing.T) {
+			baseFig, baseMetrics, baseTrace := render(1, spec)
+			fig, metrics, trace := render(8, spec)
+			if fig != baseFig {
+				t.Error("figure differs between -j1 and -j8")
+			}
+			if metrics != baseMetrics {
+				t.Error("metrics document differs between -j1 and -j8")
+			}
+			if trace != baseTrace {
+				t.Error("trace differs between -j1 and -j8")
+			}
+		})
 	}
 }
 

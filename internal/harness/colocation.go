@@ -53,7 +53,7 @@ func noiseSpec(opt Options) trace.NoiseSpec {
 // replay solo and colocated under each irregular policy and report the
 // colocated-vs-solo slowdown per tenant. Everything downstream of the
 // recording runs on the trace engine, so the table is byte-identical
-// for every -j and shard count.
+// for every -j.
 func Colocation(opt Options) (*Figure, error) {
 	ws := colocationWorkloads(opt)
 
@@ -113,7 +113,7 @@ func Colocation(opt Options) (*Figure, error) {
 	}
 	results := make([]*trace.Result, len(tasks))
 	if err := opt.forEach(len(tasks), func(i int) error {
-		r, err := trace.Replay(tasks[i].sc, trace.Options{Policy: tasks[i].policy, Shards: opt.Shards})
+		r, err := trace.Replay(tasks[i].sc, trace.Options{Policy: tasks[i].policy})
 		if err != nil {
 			return fmt.Errorf("colocation: replay %s under %s: %w", tasks[i].sc.Label, tasks[i].policy, err)
 		}

@@ -81,13 +81,6 @@ type Options struct {
 	// is pure observation: it never changes cell results.
 	Record *trace.Collector
 
-	// Shards partitions each cell's event kernel across that many mesh
-	// rectangles (see sys.Config.Shards). Reports and artifacts are
-	// byte-identical for every value — retirement accounting is
-	// commutative and shard-owned — so it is purely a throughput knob;
-	// <= 1 keeps the single-shard kernel.
-	Shards int
-
 	// Faults, when non-empty, degrades every cell's simulated machine
 	// (dead banks/links, throttled DRAM; see faults.Spec). Results stay
 	// deterministic for any Jobs value: each cell's system owns its own
@@ -96,7 +89,7 @@ type Options struct {
 	// Realloc, when enabled, arms every cell's online reconciler (see
 	// realloc.Config). Deterministic like Faults: each cell's system
 	// owns its own reconciler, and the migration schedule depends only
-	// on seed and config — never on Jobs or Shards.
+	// on seed and config — never on Jobs.
 	Realloc realloc.Config
 	// CellTimeout bounds one cell's wall-clock run; an overrunning cell
 	// fails with a timeout error while its siblings keep running (0: no
@@ -118,7 +111,7 @@ type Options struct {
 func DefaultOptions() Options { return Options{Scale: Default, Seed: 1} }
 
 // Validate rejects option values every simulation cell would fail with
-// (an impossible shard count, an out-of-range fault spec), so CLIs can
+// (an out-of-range fault spec, a bad realloc config), so CLIs can
 // report one named error up front instead of one failure per cell.
 func (o Options) Validate() error {
 	return baseConfig(o, core.DefaultPolicy()).Validate()
@@ -189,7 +182,6 @@ func baseConfig(opt Options, pcfg core.PolicyConfig) sys.Config {
 	cfg.Seed = opt.Seed
 	cfg.Policy = pcfg
 	cfg.Faults = opt.Faults
-	cfg.Shards = opt.Shards
 	cfg.Realloc = opt.Realloc
 	return cfg
 }

@@ -48,11 +48,11 @@ func TestGoldenReallocSweep(t *testing.T) {
 }
 
 // TestReallocSweepByteIdenticalAcrossJobs renders the sweep serially and
-// with maximum cell parallelism plus a sharded kernel; the migration
-// schedule (and so every byte of the table) must not notice.
+// with maximum cell parallelism; the migration schedule (and so every
+// byte of the table) must not notice.
 func TestReallocSweepByteIdenticalAcrossJobs(t *testing.T) {
-	render := func(jobs, shards int) []byte {
-		fig, err := ReallocSweep(Options{Scale: Tiny, Seed: 1, Jobs: jobs, Shards: shards})
+	render := func(jobs int) []byte {
+		fig, err := ReallocSweep(Options{Scale: Tiny, Seed: 1, Jobs: jobs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,9 +60,9 @@ func TestReallocSweepByteIdenticalAcrossJobs(t *testing.T) {
 		fig.Render(&buf)
 		return buf.Bytes()
 	}
-	base := render(1, 1)
-	if par := render(8, 4); !bytes.Equal(base, par) {
-		t.Errorf("sweep differs between -j 1 -shards 1 and -j 8 -shards 4:\n%s", firstDiff(base, par))
+	base := render(1)
+	if par := render(8); !bytes.Equal(base, par) {
+		t.Errorf("sweep differs between -j 1 and -j 8:\n%s", firstDiff(base, par))
 	}
 }
 
@@ -93,8 +93,7 @@ func reallocProbe(t *testing.T, opt Options) []byte {
 // disabled reconciler AND an armed-but-threshold=inf reconciler (the loop
 // runs, observes telemetry at every epoch, and never acts) must leave
 // cycles, checksums, and the entire metrics document byte-identical to a
-// reconciler-free build — serial or parallel, single-shard or sharded,
-// clean machine or degraded.
+// reconciler-free build — serial or parallel, clean machine or degraded.
 func TestReallocOffIsByteIdentical(t *testing.T) {
 	inf := realloc.Config{Epoch: 1500, Threshold: math.Inf(1)}.WithDefaults()
 	for _, ft := range []struct {
@@ -105,21 +104,19 @@ func TestReallocOffIsByteIdentical(t *testing.T) {
 		{"faulted", faults.Spec{Seed: 1, NDeadBanks: 1}},
 	} {
 		t.Run(ft.name, func(t *testing.T) {
-			base := reallocProbe(t, Options{Scale: Tiny, Seed: 1, Jobs: 1, Shards: 1, Faults: ft.spec})
+			base := reallocProbe(t, Options{Scale: Tiny, Seed: 1, Jobs: 1, Faults: ft.spec})
 			for _, jobs := range []int{1, 8} {
-				for _, shards := range []int{1, 4} {
-					for _, rc := range []struct {
-						name string
-						cfg  realloc.Config
-					}{{"off", realloc.Config{}}, {"threshold-inf", inf}} {
-						got := reallocProbe(t, Options{
-							Scale: Tiny, Seed: 1, Jobs: jobs, Shards: shards,
-							Faults: ft.spec, Realloc: rc.cfg,
-						})
-						if !bytes.Equal(base, got) {
-							t.Errorf("j=%d shards=%d realloc=%s: output differs from the reconciler-free baseline:\n%s",
-								jobs, shards, rc.name, firstDiff(base, got))
-						}
+				for _, rc := range []struct {
+					name string
+					cfg  realloc.Config
+				}{{"off", realloc.Config{}}, {"threshold-inf", inf}} {
+					got := reallocProbe(t, Options{
+						Scale: Tiny, Seed: 1, Jobs: jobs,
+						Faults: ft.spec, Realloc: rc.cfg,
+					})
+					if !bytes.Equal(base, got) {
+						t.Errorf("j=%d realloc=%s: output differs from the reconciler-free baseline:\n%s",
+							jobs, rc.name, firstDiff(base, got))
 					}
 				}
 			}

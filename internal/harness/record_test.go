@@ -13,9 +13,9 @@ import (
 
 // fig4TraceAndReport runs the Fig-4 experiment with recording on and
 // returns (JSONL trace bytes, rendered figure bytes).
-func fig4TraceAndReport(t *testing.T, jobs, shards int, fspec string) ([]byte, []byte) {
+func fig4TraceAndReport(t *testing.T, jobs int, fspec string) ([]byte, []byte) {
 	t.Helper()
-	opt := Options{Scale: Tiny, Seed: 1, Jobs: jobs, Shards: shards}
+	opt := Options{Scale: Tiny, Seed: 1, Jobs: jobs}
 	if fspec != "" {
 		f, err := faults.Parse(fspec)
 		if err != nil {
@@ -34,42 +34,58 @@ func fig4TraceAndReport(t *testing.T, jobs, shards int, fspec string) ([]byte, [
 	return trace.EncodeJSONL(col.Trace()), buf.Bytes()
 }
 
-// The record→replay differential gate, as a table across the axes the
-// ISSUE pins: worker count (j1/j8), kernel shards (1/4), and machine
-// health (clean/faulted). For every combination the recorded trace and
-// the rendered figure must be byte-identical to the j=1 run (recording
-// is slot-ordered and observation-only), and replaying every recorded
-// scenario with zero options must reproduce the recorded placements
-// byte-for-byte.
+// The record→replay differential gate, as a table across three axes:
+// worker count (j1/j8), machine health (clean/faulted), and the shard
+// count an older recording names in every scenario header (1 from the
+// CLI default, 4 from a run sharded four ways). For every combination
+// the recorded trace and the rendered figure must be byte-identical to
+// the j=1 run (recording is slot-ordered and observation-only), and
+// replaying every recorded scenario with zero options must reproduce
+// the recorded placements byte-for-byte; the header's shard count is
+// ignored.
 func TestRecordReplayGate(t *testing.T) {
+	type recording struct{ tr1, rep1, tr8, rep8 []byte }
+	recorded := map[string]recording{}
 	for _, shards := range []int{1, 4} {
 		for _, fspec := range []string{"", "dead-banks=2"} {
-			name := fmt.Sprintf("shards=%d/faults=%s", shards, fspec)
-			t.Run(name, func(t *testing.T) {
-				tr1, rep1 := fig4TraceAndReport(t, 1, shards, fspec)
-				tr8, rep8 := fig4TraceAndReport(t, 8, shards, fspec)
-				if !bytes.Equal(tr1, tr8) {
+			t.Run(fmt.Sprintf("shards=%d/faults=%s", shards, fspec), func(t *testing.T) {
+				r, ok := recorded[fspec]
+				if !ok {
+					r.tr1, r.rep1 = fig4TraceAndReport(t, 1, fspec)
+					r.tr8, r.rep8 = fig4TraceAndReport(t, 8, fspec)
+					recorded[fspec] = r
+				}
+				if !bytes.Equal(r.tr1, r.tr8) {
 					t.Error("recorded trace differs between -j1 and -j8")
 				}
-				if !bytes.Equal(rep1, rep8) {
+				if !bytes.Equal(r.rep1, r.rep8) {
 					t.Error("figure differs between -j1 and -j8")
 				}
-				if len(tr1) == 0 {
+				if len(r.tr1) == 0 {
 					t.Fatal("empty recorded trace")
 				}
-				decoded, err := trace.ParseJSONL(tr1)
+				orig, err := trace.ParseJSONL(r.tr1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(decoded.Scenarios) == 0 {
+				if len(orig.Scenarios) == 0 {
 					t.Fatal("no scenarios recorded")
 				}
-				for _, sc := range decoded.Scenarios {
+				legacy := bytes.ReplaceAll(r.tr1, []byte(`"mesh_w":`), []byte(fmt.Sprintf(`"shards":%d,"mesh_w":`, shards)))
+				decoded, err := trace.ParseJSONL(legacy)
+				if err != nil {
+					t.Fatalf("trace with shards=%d headers: %v", shards, err)
+				}
+				if len(decoded.Scenarios) != len(orig.Scenarios) {
+					t.Fatalf("trace with shards=%d headers decodes to %d scenarios, want %d",
+						shards, len(decoded.Scenarios), len(orig.Scenarios))
+				}
+				for i, sc := range decoded.Scenarios {
 					res, err := trace.Replay(sc, trace.Options{})
 					if err != nil {
 						t.Fatalf("replay %s: %v", sc.Label, err)
 					}
-					got, want := res.PlacementDump(), trace.RecordedDump(sc)
+					got, want := res.PlacementDump(), trace.RecordedDump(orig.Scenarios[i])
 					if !bytes.Equal(got, want) {
 						t.Errorf("%s: replay diverged from recording:\n--- replay\n%s--- recorded\n%s",
 							sc.Label, got, want)
@@ -90,7 +106,7 @@ func TestRecordingDoesNotPerturbFigures(t *testing.T) {
 	}
 	var plain bytes.Buffer
 	fig.Render(&plain)
-	_, recorded := fig4TraceAndReport(t, 4, 1, "")
+	_, recorded := fig4TraceAndReport(t, 4, "")
 	if !bytes.Equal(plain.Bytes(), recorded) {
 		t.Error("recording changed the rendered figure")
 	}

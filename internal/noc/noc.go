@@ -80,7 +80,7 @@ type ClassStats struct {
 }
 
 // Network is the mesh interconnect model. It is not safe for concurrent
-// use; the event kernel serializes all access.
+// use.
 type Network struct {
 	mesh *topo.Mesh
 	cfg  Config
@@ -90,17 +90,6 @@ type Network struct {
 
 	classes    [NumClasses]ClassStats
 	routeCache []topo.Link // scratch buffer reused across sends
-
-	// clocks, when attached, turn per-hop link-flit accounting into
-	// retirement events: each hop's flit count is applied by a ScheduleArg
-	// event at the hop's departure cycle instead of inline (see
-	// AttachClock). flitFn is the one bound handler built at attach time,
-	// so scheduling allocates nothing. linkSim routes each link's
-	// retirements to the kernel shard that owns the link's source tile, so
-	// parallel shard drains never touch the same linkFlits entry.
-	clocks  *engine.Coordinator
-	linkSim []*engine.Sim
-	flitFn  func(uint64)
 }
 
 // withDefaults fills unset fields. A fully zero Config selects
@@ -156,80 +145,8 @@ func New(mesh *topo.Mesh, cfg Config) *Network {
 func (n *Network) Mesh() *topo.Mesh { return n.mesh }
 
 // PerHopCycles reports the resolved router+link traversal latency — the
-// minimum cost of any cross-tile hop, and therefore the conservative
-// lookahead bound for kernel sharding: no message can cross a shard
-// boundary in fewer cycles.
+// minimum cost of any cross-tile hop.
 func (n *Network) PerHopCycles() engine.Time { return n.cfg.PerHopCycles }
-
-// Per-hop retirement events pack (link index, flit units) into the
-// ScheduleArg argument. Units occupy the low bits; messages are at most a
-// few flits plus bounded retransmit extras, so 24 bits is generous.
-const flitUnitBits = 24
-
-// AttachClock defers per-hop link-flit accounting through the event
-// kernel: every hop schedules one allocation-free retirement event at its
-// departure cycle instead of bumping the counter inline. Retirements are
-// commutative adds, so any reader that drains the clocks first (all
-// accessors here do) observes exactly the inline totals — byte-identical
-// reports — while the hot path sheds the counter's cache traffic onto the
-// kernel's batched drain.
-//
-// tileShard assigns each mesh tile (indexed y*W+x) to a kernel shard;
-// each link's retirements are scheduled on the shard owning the link's
-// source tile, so the coordinator's parallel drain updates every
-// linkFlits entry from exactly one goroutine. A nil tileShard puts
-// everything on shard 0; passing a nil coordinator restores inline
-// accounting.
-func (n *Network) AttachClock(clocks *engine.Coordinator, tileShard []int) {
-	n.clocks = clocks
-	if clocks == nil {
-		n.flitFn, n.linkSim = nil, nil
-		return
-	}
-	n.flitFn = n.retireFlits // bind once; ScheduleArg then allocates nothing
-	n.linkSim = make([]*engine.Sim, n.mesh.NumLinks())
-	for idx := range n.linkSim {
-		sh := 0
-		if tileShard != nil {
-			sh = tileShard[idx/4] // LinkIndex packs the source tile in idx/4
-		}
-		n.linkSim[idx] = clocks.Shard(sh)
-	}
-}
-
-// retireFlits applies one hop's deferred flit count.
-func (n *Network) retireFlits(arg uint64) {
-	n.linkFlits[arg>>flitUnitBits] += arg & (1<<flitUnitBits - 1)
-}
-
-// accountFlits charges units flits to directed link idx at cycle at —
-// deferred through the kernel when a clock is attached, inline otherwise.
-func (n *Network) accountFlits(at engine.Time, idx, units int) {
-	if n.clocks == nil {
-		n.linkFlits[idx] += uint64(units)
-		return
-	}
-	sim := n.linkSim[idx]
-	if sim.Pending() >= engine.DrainPending || (sim.Pending() > 0 && !sim.InRing(at)) {
-		// Bound the queue and keep the ring window tracking the flit
-		// stream; adds commute so early retirement is invisible.
-		// DrainAccounting (not Run) keeps the shard clock parked — a
-		// mid-run flush must never fast-forward simulated time.
-		sim.DrainAccounting()
-	}
-	if sim.Pending() == 0 {
-		sim.Advance(at)
-	}
-	sim.ScheduleArg(at, n.flitFn, uint64(idx)<<flitUnitBits|uint64(units))
-}
-
-// drain retires pending accounting events before a counter read, leaving
-// every shard clock where it was.
-func (n *Network) drain() {
-	if n.clocks != nil {
-		n.clocks.DrainAccounting()
-	}
-}
 
 // Flits returns the number of flits a message with the given payload
 // occupies, including the header flit share.
@@ -288,7 +205,7 @@ func (n *Network) Send(now engine.Time, from, to int, class Class, payloadBytes 
 			retryDelay = delay
 		}
 		depart := n.linkSrv[idx].Reserve(arrive, units)
-		n.accountFlits(depart, idx, units)
+		n.linkFlits[idx] += uint64(units)
 		arrive = depart + n.cfg.PerHopCycles + retryDelay
 	}
 	return arrive + engine.Time(flits-1)
@@ -329,7 +246,6 @@ func (n *Network) Utilization(elapsed engine.Time) float64 {
 // TotalLinkFlits sums flits over every directed link — the numerator of
 // Utilization. Zero when ModelConflict is off (no per-link accounting).
 func (n *Network) TotalLinkFlits() uint64 {
-	n.drain()
 	var flits uint64
 	for _, f := range n.linkFlits {
 		flits += f
@@ -343,7 +259,6 @@ func (n *Network) TotalLinkFlits() uint64 {
 // series. Only populated when ModelConflict is on (the default); the
 // fast path skips route enumeration.
 func (n *Network) LinkFlits() []uint64 {
-	n.drain()
 	out := make([]uint64, len(n.linkFlits))
 	copy(out, n.linkFlits)
 	return out
@@ -352,7 +267,6 @@ func (n *Network) LinkFlits() []uint64 {
 // PublishTelemetry publishes per-class traffic scalars and the per-link
 // flit heatmap into the registry.
 func (n *Network) PublishTelemetry(r *telemetry.Registry) {
-	n.drain()
 	for class, st := range n.classes {
 		name := Class(class).String()
 		r.Set("noc_"+name+"_messages", st.Messages)
@@ -367,7 +281,6 @@ func (n *Network) PublishTelemetry(r *telemetry.Registry) {
 // ResetStats clears traffic counters while keeping link schedules, so a
 // measurement window can exclude warmup.
 func (n *Network) ResetStats() {
-	n.drain() // retire in-flight accounting so it cannot leak past the reset
 	n.classes = [NumClasses]ClassStats{}
 	for i := range n.linkFlits {
 		n.linkFlits[i] = 0

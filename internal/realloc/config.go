@@ -9,8 +9,8 @@
 // Everything here is deterministic by construction: the epoch decision
 // function is the pure Plan (tie-breaks fully specified, no RNG, no
 // map iteration), epochs close at access-stream boundaries driven by
-// the single workload goroutine, and drains never move shard clocks —
-// so the migration schedule is identical at any -j and any -shards.
+// the single workload goroutine, and reading a counter never changes
+// one — so the migration schedule is identical at any -j.
 package realloc
 
 import (

@@ -52,8 +52,8 @@ type granule struct {
 // Plan's migrations: address-space overrides plus honestly modeled
 // migration traffic. All state updates happen on the workload
 // goroutine (the hook runs inline with each access), and the only
-// counter reads are drain-barrier observations (BankBusyCycles), so the
-// schedule is byte-identical at any -j and any -shards.
+// counter read is BankBusyCycles, which observes and never mutates, so
+// the schedule is byte-identical at any -j.
 type Reconciler struct {
 	cfg   Config
 	space *memsim.Space
@@ -121,9 +121,8 @@ func (r *Reconciler) OnAccess(now engine.Time, va memsim.Addr) {
 }
 
 // closeEpoch folds the open epoch into the EWMAs, plans, and applies.
-// It runs at a drain barrier: BankBusyCycles retires every pending
-// accounting event without moving any shard clock, so the decision
-// observes exactly the inline totals and perturbs nothing.
+// Its only machine read is BankBusyCycles, a copy of counters that are
+// updated inline with every access, so the decision perturbs nothing.
 func (r *Reconciler) closeEpoch(boundary engine.Time) {
 	r.counters.Epochs++
 	busy := r.mem.BankBusyCycles()

@@ -100,22 +100,6 @@ type Engine struct {
 	// migrations) for the trace recorder. Observation reads nothing back
 	// and precedes the NoC send, so recording cannot perturb timing.
 	obs IssueObserver
-
-	// clocks, when attached, turn op-retirement accounting into events
-	// scheduled at each operation's completion cycle (see AttachClock).
-	// The handlers are bound once so scheduling allocates nothing.
-	// bankSim routes each bank's retirements to its owning kernel shard;
-	// the shared ElementsComputed/RemoteOps scalars accumulate into
-	// per-shard delta slots folded in on drain (they must stay deltas:
-	// pointer-chase work also bumps ElementsComputed inline, so the total
-	// cannot be recomputed from the per-bank series).
-	clocks      *engine.Coordinator
-	bankSim     []*engine.Sim
-	bankShard   []int
-	elemDelta   []uint64
-	remoteDelta []uint64
-	computeFn   func(uint64)
-	remoteFn    func(uint64)
 }
 
 // NewEngine builds the shared stream-engine state over a memory system.
@@ -135,85 +119,6 @@ func NewEngine(mem *cache.MemSystem, cfg Config) *Engine {
 		e.computeSrv[i] = engine.NewServer(cfg.SMTThreads, 8, 4096)
 	}
 	return e
-}
-
-// Compute-retirement events pack (bank, elements) into the ScheduleArg
-// argument; element groups are small, so 32 bits of count is generous.
-const computeElemBits = 32
-
-// AttachClock defers SE op-retirement accounting through the event
-// kernel: each Compute charges its element counters at the computation's
-// completion cycle, and each RemoteOp charges the remote-op counters at
-// its retirement cycle, via allocation-free ScheduleArg events. The
-// updates are commutative adds, so readers that drain first (telemetry
-// does) observe exactly the inline totals.
-//
-// bankShard assigns each bank to a kernel shard; a bank's retirements
-// run on its owning shard, so parallel shard drains touch disjoint
-// per-bank counters, and the machine-wide ElementsComputed/RemoteOps
-// scalars accumulate in per-shard delta slots folded in on drain. A nil
-// bankShard puts everything on shard 0; a nil coordinator restores
-// inline accounting.
-func (e *Engine) AttachClock(clocks *engine.Coordinator, bankShard []int) {
-	e.clocks = clocks
-	if clocks == nil {
-		e.bankSim, e.bankShard = nil, nil
-		e.elemDelta, e.remoteDelta = nil, nil
-		e.computeFn, e.remoteFn = nil, nil
-		return
-	}
-	e.bankSim = make([]*engine.Sim, len(e.bankElements))
-	e.bankShard = make([]int, len(e.bankElements))
-	for b := range e.bankSim {
-		if bankShard != nil {
-			e.bankShard[b] = bankShard[b]
-		}
-		e.bankSim[b] = clocks.Shard(e.bankShard[b])
-	}
-	e.elemDelta = make([]uint64, clocks.NumShards())
-	e.remoteDelta = make([]uint64, clocks.NumShards())
-	e.computeFn = func(arg uint64) {
-		bank := arg >> computeElemBits
-		elems := arg & (1<<computeElemBits - 1)
-		e.elemDelta[e.bankShard[bank]] += elems
-		e.bankElements[bank] += elems
-	}
-	e.remoteFn = func(arg uint64) {
-		e.remoteDelta[e.bankShard[arg]]++
-		e.bankRemoteOps[arg]++
-	}
-}
-
-// retire schedules one deferred accounting event on the owning shard,
-// draining that shard first when its queue has grown to the retirement
-// batch bound or when the event falls beyond the shard's ring window —
-// flushing and re-anchoring the empty window keeps retirements on the
-// O(1) ring path while completion cycles race ahead of the parked shard
-// clock. DrainAccounting (not Run) keeps the shard clock parked — a
-// mid-run flush must never fast-forward simulated time.
-func (e *Engine) retire(sim *engine.Sim, at engine.Time, fn func(uint64), arg uint64) {
-	if sim.Pending() >= engine.DrainPending || (sim.Pending() > 0 && !sim.InRing(at)) {
-		sim.DrainAccounting()
-	}
-	if sim.Pending() == 0 {
-		sim.Advance(at)
-	}
-	sim.ScheduleArg(at, fn, arg)
-}
-
-// drain retires pending accounting events before a counter read, leaving
-// every shard clock where it was, and folds the per-shard scalar deltas
-// into the machine-wide totals.
-func (e *Engine) drain() {
-	if e.clocks == nil {
-		return
-	}
-	e.clocks.DrainAccounting()
-	for sh := range e.elemDelta {
-		e.ElementsComputed += e.elemDelta[sh]
-		e.RemoteOps += e.remoteDelta[sh]
-		e.elemDelta[sh], e.remoteDelta[sh] = 0, 0
-	}
 }
 
 // Config returns the engine configuration.
@@ -320,12 +225,8 @@ func (e *Engine) Compute(now engine.Time, bank, elems int) engine.Time {
 	dur := (elems + e.cfg.SIMDLanes - 1) / e.cfg.SIMDLanes
 	start := e.computeSrv[bank].Reserve(now, dur)
 	done := start + e.cfg.ComputeInit + engine.Time(dur)
-	if e.clocks != nil {
-		e.retire(e.bankSim[bank], done, e.computeFn, uint64(bank)<<computeElemBits|uint64(elems))
-	} else {
-		e.ElementsComputed += uint64(elems)
-		e.bankElements[bank] += uint64(elems)
-	}
+	e.ElementsComputed += uint64(elems)
+	e.bankElements[bank] += uint64(elems)
 	return done
 }
 
@@ -349,12 +250,8 @@ func (e *Engine) RemoteOp(now engine.Time, fromBank int, va memsim.Addr, write, 
 	if withResponse && homeBank != fromBank {
 		t = e.net.Send(t, homeBank, fromBank, noc.Control, e.cfg.AckBytes)
 	}
-	if e.clocks != nil {
-		e.retire(e.bankSim[homeBank], t, e.remoteFn, uint64(homeBank))
-	} else {
-		e.RemoteOps++
-		e.bankRemoteOps[homeBank]++
-	}
+	e.RemoteOps++
+	e.bankRemoteOps[homeBank]++
 	return t, homeBank
 }
 
@@ -371,7 +268,6 @@ func (e *Engine) Forward(now engine.Time, from, to int, bytes int) engine.Time {
 // PublishTelemetry publishes the stream-engine op breakdown (scalars)
 // and the per-bank remote-op / computed-element series into the registry.
 func (e *Engine) PublishTelemetry(r *telemetry.Registry) {
-	e.drain()
 	r.Set("se_streams_configured", e.StreamsConfigured)
 	r.Set("se_migrations", e.Migrations)
 	r.Set("se_remote_ops", e.RemoteOps)

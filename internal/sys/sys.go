@@ -37,24 +37,11 @@ type Config struct {
 	// injects nothing and leaves every fast path untouched.
 	Faults faults.Spec
 	// Realloc enables the online reconciler: every Realloc.Epoch
-	// sim-cycles it closes an epoch at a drain barrier, plans hot-chunk
+	// sim-cycles it closes an epoch at an access boundary, plans hot-chunk
 	// migrations from EWMA-smoothed bank occupancy, and applies them as
 	// modeled NoC traffic plus address-space overrides. The zero value
 	// disables it and leaves every fast path untouched.
 	Realloc realloc.Config
-	// InlineAccounting disables the event-kernel deferred-retirement
-	// accounting path and keeps every counter update inline — a debugging
-	// knob for bisecting deferred-vs-inline divergence (there should be
-	// none; see TestDeferredAccountingMatchesInline).
-	InlineAccounting bool
-	// Shards partitions the event kernel: the mesh is cut into that many
-	// equal rectangles (quadrants at 4) and each component's retirement
-	// events run on the kernel shard owning its tile, drained in parallel
-	// under conservative-PDES rules (lookahead = the NoC per-hop latency).
-	// Counter updates are commutative adds over shard-owned state, so
-	// reports stay byte-identical at every shard count. Zero or 1 keeps
-	// the single-shard kernel.
-	Shards int
 }
 
 // DefaultConfig mirrors Table 2: an 8x8 mesh of cores with 64 L3 banks.
@@ -92,13 +79,6 @@ type System struct {
 	Cores []*cpu.Core
 	SE    *stream.Engine
 	RT    *core.Runtime
-	// Clocks is the (possibly sharded) system event kernel. The NoC,
-	// memory system, and stream engines schedule their counter
-	// retirements on the shard owning the touched tile (unless
-	// Config.InlineAccounting is set); Telemetry drains every shard —
-	// without advancing any clock — before a counter is read, so reports
-	// are byte-identical either way and at every shard count.
-	Clocks *engine.Coordinator
 	// Faults is the resolved fault injector; nil on a clean machine.
 	Faults *faults.Injector
 	// Realloc is the online reconciler; nil unless Config.Realloc is
@@ -167,23 +147,6 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	tileShard, bankShard, err := shardMap(mesh, shards)
-	if err != nil {
-		return nil, err
-	}
-	// Lookahead is the minimum cost of any cross-shard message: one NoC
-	// hop. Shard cuts run along tile boundaries, so nothing can cross in
-	// fewer cycles.
-	clocks := engine.NewCoordinator(shards, net.PerHopCycles(), cfg.Seed)
-	if !cfg.InlineAccounting {
-		net.AttachClock(clocks, tileShard)
-		mem.AttachClock(clocks, bankShard)
-		se.AttachClock(clocks, bankShard)
-	}
 	var rec *realloc.Reconciler
 	if cfg.Realloc.Enabled() {
 		rec = realloc.NewReconciler(cfg.Realloc, space, mesh, mem, rt)
@@ -214,7 +177,6 @@ func New(cfg Config) (*System, error) {
 		Cores:   cores,
 		SE:      se,
 		RT:      rt,
-		Clocks:  clocks,
 		Faults:  inj,
 		Realloc: rec,
 	}, nil
@@ -312,10 +274,6 @@ func (m Metrics) EnergyTotal() float64 { return m.Energy.Total() }
 // cycle: every component publishes its counters and per-tile series into
 // a fresh registry, and recorded phases become trace spans.
 func (s *System) Telemetry(finish engine.Time) *telemetry.Snapshot {
-	// Retire all deferred accounting before any counter is read. The
-	// drain leaves every shard clock untouched: a telemetry snapshot is
-	// an observation, not a simulated action, and must not move time.
-	s.Clocks.DrainAccounting()
 	r := telemetry.NewRegistry()
 	r.Set("cycles", uint64(finish))
 	s.Net.PublishTelemetry(r)

@@ -63,14 +63,6 @@ func (c Config) Validate() error {
 	if c.Mem.DefaultInterleave <= 0 {
 		return fmt.Errorf("sys: NUCA interleave %d bytes: must be positive (Table 2 uses 1024)", c.Mem.DefaultInterleave)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("sys: shard count %d cannot be negative (zero selects the single-shard kernel)", c.Shards)
-	}
-	if c.Shards > 1 {
-		if _, _, err := shardGrid(c.Shards, c.MeshW, c.MeshH); err != nil {
-			return err
-		}
-	}
 	if !c.Faults.Empty() {
 		// Channel count is unknown until the mesh is built (it depends on
 		// controller placement); passing 0 skips the upper-bound check

@@ -176,7 +176,7 @@ func Encode(t *Trace) []byte {
 		w.i(sc.Seed)
 		w.str(sc.Policy)
 		w.str(sc.Faults)
-		w.u(uint64(sc.Shards))
+		w.u(0) // retired shard-count slot, kept so afftrace/v1 stays readable
 		w.u(uint64(len(sc.Tenants)))
 		for _, t := range sc.Tenants {
 			w.str(t)
@@ -292,7 +292,7 @@ func Decode(data []byte) (*Trace, error) {
 			sc.Seed = r.i()
 			sc.Policy = r.str()
 			sc.Faults = r.str()
-			sc.Shards = r.intv()
+			r.intv() // retired shard-count slot: read and discarded
 			nt := r.count(1)
 			for i := 0; i < nt && r.err == nil; i++ {
 				sc.Tenants = append(sc.Tenants, r.str())

@@ -48,7 +48,6 @@ func Compose(scs []*Scenario, opt ComposeOptions) (*Scenario, error) {
 		Seed:    scs[0].Seed,
 		Policy:  scs[0].Policy,
 		Faults:  scs[0].Faults,
-		Shards:  scs[0].Shards,
 		Tenants: labels,
 	}
 	if out.Label == "" {

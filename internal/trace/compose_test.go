@@ -118,7 +118,7 @@ func TestNoisyNeighbor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := trace.Replay(c, trace.Options{Faults: "dead-banks=2", Shards: 4}); err != nil {
-		t.Fatalf("faulted sharded colocation replay: %v", err)
+	if _, err := trace.Replay(c, trace.Options{Faults: "dead-banks=2"}); err != nil {
+		t.Fatalf("faulted colocation replay: %v", err)
 	}
 }

@@ -26,10 +26,6 @@ type Options struct {
 	// affinity-aware allocations onto the baseline allocator, exactly as
 	// System.Alloc and the co-designed structures would have.
 	Mode string
-	// Shards overrides the kernel shard count (> 0); placement and
-	// figures are byte-identical at every shard count, so this is a
-	// pure throughput knob.
-	Shards int
 	// Faults overrides the fault spec: "" keeps the recorded spec,
 	// "none" replays on a clean machine, anything else is parsed.
 	Faults string
@@ -111,9 +107,6 @@ func Replay(sc *Scenario, opt Options) (*Result, error) {
 	cfg, err := sc.Config()
 	if err != nil {
 		return nil, err
-	}
-	if opt.Shards > 0 {
-		cfg.Shards = opt.Shards
 	}
 	switch opt.Faults {
 	case "":

@@ -12,11 +12,10 @@ import (
 )
 
 // recordUnder records one workload under a full configuration.
-func recordUnder(t *testing.T, w workloads.Workload, mode sys.Mode, seed int64, faultSpec string, shards int) *trace.Scenario {
+func recordUnder(t *testing.T, w workloads.Workload, mode sys.Mode, seed int64, faultSpec string) *trace.Scenario {
 	t.Helper()
 	cfg := sys.DefaultConfig()
 	cfg.Seed = seed
-	cfg.Shards = shards
 	if faultSpec != "" {
 		f, err := faults.Parse(faultSpec)
 		if err != nil {
@@ -31,45 +30,68 @@ func recordUnder(t *testing.T, w workloads.Workload, mode sys.Mode, seed int64, 
 	return rec.Scenario()
 }
 
+// withShardSlot returns sc as a trace written while scenario headers
+// still named a kernel shard count would carry it: JSONL-encoded with
+// "shards":n in the header, then decoded again.
+func withShardSlot(t *testing.T, sc *trace.Scenario, n int) *trace.Scenario {
+	t.Helper()
+	enc := trace.EncodeJSONL(&trace.Trace{Scenarios: []*trace.Scenario{sc}})
+	patched := bytes.Replace(enc, []byte(`"mesh_w":`), []byte(fmt.Sprintf(`"shards":%d,"mesh_w":`, n)), 1)
+	if bytes.Equal(patched, enc) {
+		t.Fatal("encoded scenario has no header to patch")
+	}
+	tr, err := trace.ParseJSONL(patched)
+	if err != nil {
+		t.Fatalf("header with shards=%d: %v", n, err)
+	}
+	if len(tr.Scenarios) != 1 {
+		t.Fatalf("header with shards=%d: %d scenarios, want 1", n, len(tr.Scenarios))
+	}
+	return tr.Scenarios[0]
+}
+
 // Record→replay placement identity: replaying a recorded scenario with
 // zero options must re-drive the allocator through the identical state
 // trajectory, yielding byte-identical placements — across workload
-// shapes (affine, irregular, pointer), fault specs, and shard counts.
+// shapes (affine, irregular, pointer), fault specs, and the shard count
+// an older recording names in its header (1 from the CLI default, 4
+// from a run sharded four ways), which replay ignores.
 func TestReplayPlacementIdentity(t *testing.T) {
 	workloadSet := []workloads.Workload{
 		tinyVecAdd(),
 		tinyHashJoin(),
 		workloads.LinkList{Lists: 16, Nodes: 32, Queries: 1},
 	}
-	cases := []struct {
-		faults string
-		shards int
-	}{
-		{"", 1},
-		{"", 4},
-		{"dead-banks=2", 1},
-		{"dead-banks=2", 4},
-	}
 	for _, w := range workloadSet {
-		for _, c := range cases {
-			t.Run(fmt.Sprintf("%s/faults=%s/shards=%d", w.Name(), c.faults, c.shards), func(t *testing.T) {
-				sc := recordUnder(t, w, sys.AffAlloc, 1, c.faults, c.shards)
-				res, err := trace.Replay(sc, trace.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, want := res.PlacementDump(), trace.RecordedDump(sc)
-				if !bytes.Equal(got, want) {
-					t.Errorf("placements diverged:\n--- replay\n%s--- recorded\n%s", got, want)
-				}
-			})
+		for _, fspec := range []string{"", "dead-banks=2"} {
+			sc := recordUnder(t, w, sys.AffAlloc, 1, fspec)
+			want := trace.RecordedDump(sc)
+			for _, shards := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/faults=%s/shards=%d", w.Name(), fspec, shards), func(t *testing.T) {
+					for _, c := range []struct {
+						name string
+						sc   *trace.Scenario
+					}{
+						{"recorded", sc},
+						{"legacy header", withShardSlot(t, sc, shards)},
+					} {
+						res, err := trace.Replay(c.sc, trace.Options{})
+						if err != nil {
+							t.Fatalf("%s: %v", c.name, err)
+						}
+						if got := res.PlacementDump(); !bytes.Equal(got, want) {
+							t.Errorf("%s: placements diverged:\n--- replay\n%s--- recorded\n%s", c.name, got, want)
+						}
+					}
+				})
+			}
 		}
 	}
 }
 
 // A round trip through both encodings must not perturb replay.
 func TestReplayAfterEncodeRoundTrip(t *testing.T) {
-	sc := recordUnder(t, tinyHashJoin(), sys.AffAlloc, 1, "", 1)
+	sc := recordUnder(t, tinyHashJoin(), sys.AffAlloc, 1, "")
 	want := trace.RecordedDump(sc)
 	tr := &trace.Trace{Scenarios: []*trace.Scenario{sc}}
 	for _, enc := range []struct {
@@ -93,17 +115,16 @@ func TestReplayAfterEncodeRoundTrip(t *testing.T) {
 	}
 }
 
-// Replay must accept mode/policy/faults/shard overrides and still
+// Replay must accept mode/policy/faults overrides and still
 // produce a deterministic result (same overrides → same placements).
 func TestReplayOverridesAreDeterministic(t *testing.T) {
-	sc := recordUnder(t, tinyHashJoin(), sys.AffAlloc, 1, "", 1)
+	sc := recordUnder(t, tinyHashJoin(), sys.AffAlloc, 1, "")
 	opts := []trace.Options{
 		{Mode: "In-Core"},
 		{Mode: "Near-L3"},
 		{Policy: "minhop"},
 		{Policy: "rnd"},
 		{Faults: "dead-banks=1"},
-		{Shards: 4},
 	}
 	for _, opt := range opts {
 		a, err := trace.Replay(sc, opt)
@@ -123,21 +144,22 @@ func TestReplayOverridesAreDeterministic(t *testing.T) {
 	}
 }
 
-// Shards must stay a pure throughput knob on the replay path too:
-// placements and cycle counts are byte-identical at every shard count.
+// The shard count an older recording names in its header must stay
+// inert: placements and cycle counts are byte-identical to replaying
+// the scenario without one, whatever count the header names.
 func TestReplayShardInvariance(t *testing.T) {
-	sc := recordUnder(t, tinyVecAdd(), sys.AffAlloc, 1, "", 1)
-	base, err := trace.Replay(sc, trace.Options{Shards: 1})
+	sc := recordUnder(t, tinyVecAdd(), sys.AffAlloc, 1, "")
+	base, err := trace.Replay(sc, trace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{2, 4} {
-		r, err := trace.Replay(sc, trace.Options{Shards: shards})
+	for _, shards := range []int{1, 2, 4} {
+		r, err := trace.Replay(withShardSlot(t, sc, shards), trace.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(r.PlacementDump(), base.PlacementDump()) {
-			t.Errorf("shards=%d: placements diverged from shards=1", shards)
+			t.Errorf("shards=%d: placements diverged from the headerless scenario", shards)
 		}
 		if r.Cycles != base.Cycles {
 			t.Errorf("shards=%d: cycles %d != %d", shards, r.Cycles, base.Cycles)

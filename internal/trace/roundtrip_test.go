@@ -2,9 +2,12 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"affinityalloc/internal/sys"
@@ -142,6 +145,72 @@ func TestCommittedExampleTrace(t *testing.T) {
 			t.Errorf("replay of committed %s diverged from its recorded placements:\ngot:\n%s\nwant:\n%s",
 				sc.Label, got, want)
 		}
+	}
+}
+
+// Traces written while the scenario header still carried a kernel
+// shard count must keep decoding and replaying: the binary decoder
+// reads the retired slot and discards it (the encoder writes 0 there),
+// and the JSONL decoder ignores the unknown "shards" key.
+func TestRetiredShardSlotStillDecodes(t *testing.T) {
+	example, err := os.ReadFile("testdata/example_vecadd.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig, err := trace.ParseJSONL(example)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := orig.Scenarios[0]
+	want := trace.RecordedDump(sc)
+	replays := func(name string, got *trace.Trace) {
+		t.Helper()
+		if len(got.Scenarios) != 1 {
+			t.Fatalf("%s: %d scenarios, want 1", name, len(got.Scenarios))
+		}
+		res, err := trace.Replay(got.Scenarios[0], trace.Options{})
+		if err != nil {
+			t.Fatalf("%s: replay: %v", name, err)
+		}
+		if !bytes.Equal(res.PlacementDump(), want) {
+			t.Errorf("%s: replay diverged from the recorded placements", name)
+		}
+	}
+
+	// JSONL: a scenario header with "shards":4.
+	withKey := strings.Replace(string(example), `"mesh_w":`, `"shards":4,"mesh_w":`, 1)
+	if withKey == string(example) {
+		t.Fatal("example trace has no scenario header to patch")
+	}
+	fromJSONL, err := trace.ParseJSONL([]byte(withKey))
+	if err != nil {
+		t.Fatalf("JSONL with a shards key: %v", err)
+	}
+	replays("jsonl", fromJSONL)
+
+	// Binary: set the header's shard slot to 4 and re-seal the frame CRC.
+	bin := trace.Encode(orig)
+	const magic = len("AFFTRC1\n")
+	n, sz := binary.Uvarint(bin[magic:])
+	payload := bin[magic+sz : magic+sz+int(n)]
+	str := func(b []byte, s string) []byte { return append(binary.AppendUvarint(b, uint64(len(s))), s...) }
+	prefix := str(str([]byte{1}, sc.Label), sc.Mode)
+	prefix = binary.AppendUvarint(binary.AppendUvarint(prefix, uint64(sc.MeshW)), uint64(sc.MeshH))
+	prefix = str(str(binary.AppendVarint(prefix, sc.Seed), sc.Policy), sc.Faults)
+	if !bytes.HasPrefix(payload, prefix) || payload[len(prefix)] != 0 {
+		t.Fatalf("binary header layout changed: the shard slot is not a 0 after %d bytes", len(prefix))
+	}
+	patched := append([]byte(nil), bin...)
+	pp := patched[magic+sz : magic+sz+int(n)]
+	pp[len(prefix)] = 4
+	binary.LittleEndian.PutUint32(patched[magic+sz+int(n):], crc32.Checksum(pp, crc32.MakeTable(crc32.Castagnoli)))
+	fromBin, err := trace.Decode(patched)
+	if err != nil {
+		t.Fatalf("binary with a nonzero shard slot: %v", err)
+	}
+	replays("binary", fromBin)
+	if !bytes.Equal(trace.Encode(fromBin), bin) {
+		t.Error("re-encoding a trace with a nonzero shard slot did not write 0 there")
 	}
 }
 

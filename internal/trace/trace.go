@@ -13,7 +13,7 @@
 // than raw addresses. That makes a trace relocatable — replay re-drives
 // the same allocator entry points on a fresh system and resolves edges
 // against the replayed bases, so a recorded scenario can be replayed
-// under a different mode, policy, fault spec, or shard count, or
+// under a different mode, policy or fault spec, or
 // composed with other tenants into a colocation scenario.
 //
 // The recorder observes only *outcomes* of completed calls (it is
@@ -156,7 +156,6 @@ type Scenario struct {
 	Seed   int64  `json:"seed"`
 	Policy string `json:"policy,omitempty"`
 	Faults string `json:"faults,omitempty"`
-	Shards int    `json:"shards,omitempty"`
 	// Tenants names the interleaved tenants of a composed scenario;
 	// empty means single-tenant (tenant 0 = Label).
 	Tenants []string `json:"tenants,omitempty"`
@@ -204,7 +203,7 @@ func (s *Scenario) AllocCount(tenant int) int64 {
 
 // Config rebuilds a sys.Config equivalent to the one the scenario was
 // recorded under: sys defaults with the scenario's recorded shape,
-// seed, policy, faults, and shard count applied.
+// seed, policy and faults applied.
 func (s *Scenario) Config() (sys.Config, error) {
 	cfg := sys.DefaultConfig()
 	if s.MeshW > 0 {
@@ -214,7 +213,6 @@ func (s *Scenario) Config() (sys.Config, error) {
 		cfg.MeshH = s.MeshH
 	}
 	cfg.Seed = s.Seed
-	cfg.Shards = s.Shards
 	if s.Policy != "" {
 		p, err := core.ParsePolicy(s.Policy)
 		if err != nil {

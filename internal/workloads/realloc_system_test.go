@@ -12,12 +12,11 @@ import (
 // reallocRun executes the skew workload on a system with the given fault
 // spec and reconciler config and returns the system (for its reconciler
 // log) and the result.
-func reallocRun(t *testing.T, w Skew, spec faults.Spec, rcfg realloc.Config, shards int) (*sys.System, Result) {
+func reallocRun(t *testing.T, w Skew, spec faults.Spec, rcfg realloc.Config) (*sys.System, Result) {
 	t.Helper()
 	cfg := sys.DefaultConfig()
 	cfg.Faults = spec
 	cfg.Realloc = rcfg
-	cfg.Shards = shards
 	s, err := sys.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +41,7 @@ func TestSkewConvergesWithoutPingPong(t *testing.T) {
 	// each phase change, so a converged placement has a quiet tail.
 	w := DefaultSkew()
 	w.OpsPerPhase = 12000
-	s, res := reallocRun(t, w, faults.Spec{}, skewRealloc, 1)
+	s, res := reallocRun(t, w, faults.Spec{}, skewRealloc)
 	c := s.Realloc.Counters()
 	if c.Migrations == 0 {
 		t.Fatalf("two-phase hotspot triggered no migrations: %+v", c)
@@ -71,7 +70,7 @@ func TestSkewConvergesWithoutPingPong(t *testing.T) {
 	}
 
 	// Migration is timing-only: the static run computes the same result.
-	_, static := reallocRun(t, w, faults.Spec{}, realloc.Config{}, 1)
+	_, static := reallocRun(t, w, faults.Spec{}, realloc.Config{})
 	if res.Checksum != static.Checksum {
 		t.Fatalf("dynamic checksum %x != static %x", res.Checksum, static.Checksum)
 	}
@@ -84,7 +83,7 @@ func TestSkewConvergesWithoutPingPong(t *testing.T) {
 // survivor line-spread remap on every access).
 func TestKillRehomesStrandedChunks(t *testing.T) {
 	spec := faults.Spec{Kills: []faults.BankKill{{Bank: 27, At: 3000}}}
-	s, res := reallocRun(t, DefaultSkew(), spec, skewRealloc, 1)
+	s, res := reallocRun(t, DefaultSkew(), spec, skewRealloc)
 	c := s.Realloc.Counters()
 	if c.KillRehomes == 0 {
 		t.Fatalf("bank kill produced no re-homes: %+v", c)
@@ -105,7 +104,7 @@ func TestKillRehomesStrandedChunks(t *testing.T) {
 		}
 	}
 
-	_, static := reallocRun(t, DefaultSkew(), spec, realloc.Config{}, 1)
+	_, static := reallocRun(t, DefaultSkew(), spec, realloc.Config{})
 	if res.Checksum != static.Checksum {
 		t.Fatalf("dynamic checksum %x != static %x", res.Checksum, static.Checksum)
 	}
@@ -114,24 +113,23 @@ func TestKillRehomesStrandedChunks(t *testing.T) {
 	}
 }
 
-// TestReallocScheduleDeterministicAcrossShards asserts the hard
-// determinism contract: the same seed and config produce the identical
-// migration schedule — move for move, epoch for epoch — whether the event
-// kernel runs single-shard or sharded.
-func TestReallocScheduleDeterministicAcrossShards(t *testing.T) {
+// TestReallocScheduleDeterministic asserts the hard determinism
+// contract: the same seed and config produce the identical migration
+// schedule — move for move, epoch for epoch — on every run.
+func TestReallocScheduleDeterministic(t *testing.T) {
 	for _, spec := range []faults.Spec{{}, {Kills: []faults.BankKill{{Bank: 27, At: 3000}}}} {
-		s1, r1 := reallocRun(t, DefaultSkew(), spec, skewRealloc, 1)
-		s4, r4 := reallocRun(t, DefaultSkew(), spec, skewRealloc, 4)
-		if !reflect.DeepEqual(s1.Realloc.Log(), s4.Realloc.Log()) {
-			t.Fatalf("faults=%v: migration schedule differs between shards=1 and shards=4:\n%+v\nvs\n%+v",
-				spec, s1.Realloc.Log(), s4.Realloc.Log())
+		s1, r1 := reallocRun(t, DefaultSkew(), spec, skewRealloc)
+		s2, r2 := reallocRun(t, DefaultSkew(), spec, skewRealloc)
+		if !reflect.DeepEqual(s1.Realloc.Log(), s2.Realloc.Log()) {
+			t.Fatalf("faults=%v: migration schedule differs between two runs:\n%+v\nvs\n%+v",
+				spec, s1.Realloc.Log(), s2.Realloc.Log())
 		}
-		if s1.Realloc.Counters() != s4.Realloc.Counters() {
-			t.Fatalf("faults=%v: counters differ: %+v vs %+v", spec, s1.Realloc.Counters(), s4.Realloc.Counters())
+		if s1.Realloc.Counters() != s2.Realloc.Counters() {
+			t.Fatalf("faults=%v: counters differ: %+v vs %+v", spec, s1.Realloc.Counters(), s2.Realloc.Counters())
 		}
-		if r1.Metrics.Cycles != r4.Metrics.Cycles || r1.Checksum != r4.Checksum {
-			t.Fatalf("faults=%v: results differ across shards: %d/%x vs %d/%x",
-				spec, r1.Metrics.Cycles, r1.Checksum, r4.Metrics.Cycles, r4.Checksum)
+		if r1.Metrics.Cycles != r2.Metrics.Cycles || r1.Checksum != r2.Checksum {
+			t.Fatalf("faults=%v: results differ between two runs: %d/%x vs %d/%x",
+				spec, r1.Metrics.Cycles, r1.Checksum, r2.Metrics.Cycles, r2.Checksum)
 		}
 	}
 }
