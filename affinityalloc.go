@@ -17,8 +17,7 @@
 //	// a[i] and b[i] now share an L3 bank for every i.
 //
 // New is the canonical constructor: it validates the configuration and
-// returns an error. The deprecated NewSystem wrapper panics instead and
-// remains only for source compatibility.
+// returns an error.
 //
 // The same allocator is also servable as a long-running daemon speaking
 // a versioned HTTP/JSON API (affinityd/v1); see cmd/affinityd and
@@ -115,14 +114,6 @@ func DefaultPolicy() PolicyConfig { return core.DefaultPolicy() }
 // (see Config.Validate), so a bad geometry or policy comes back as an
 // actionable error instead of a panic deep in assembly.
 func New(cfg Config) (*System, error) { return sys.New(cfg) }
-
-// NewSystem builds a simulated system, panicking on an invalid
-// configuration.
-//
-// Deprecated: use New, which validates the configuration and returns an
-// error instead of panicking. NewSystem remains for source
-// compatibility only.
-func NewSystem(cfg Config) *System { return sys.MustNew(cfg) }
 
 // RunWorkload builds a fresh system from cfg and runs w under mode.
 func RunWorkload(cfg Config, w Workload, mode Mode) (Result, error) {

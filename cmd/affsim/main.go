@@ -77,9 +77,9 @@ func run(cc *cliconf.Config, list bool, exp string, all bool, workload, modeStr,
 
 	// -record hooks an afftrace collector into the workload cells the
 	// invocation runs; the trace is written once the run succeeds.
-	// Experiments that probe the memory system directly instead of
-	// running workload cells (fig14's migration timeline) record
-	// nothing — that yields an empty trace, noted on stderr.
+	// Experiments that run no workload cells (the parameter tables and
+	// fig17) record nothing — that yields an empty trace, noted on
+	// stderr.
 	var recCol *trace.Collector
 	if cc.RecordOut != "" {
 		recCol = trace.NewCollector()

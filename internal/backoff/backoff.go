@@ -5,8 +5,7 @@
 // for callers that retry against a shared service and must not
 // synchronize their retries into waves.
 //
-// The experiment harness (internal/harness) uses the deterministic
-// Delay form; the affinityd client retry loop uses a jittered Policy.
+// The affinityd client retry loop uses a jittered Policy.
 package backoff
 
 import (

@@ -38,6 +38,36 @@ func TestDelaySaturates(t *testing.T) {
 	}
 }
 
+// TestRetryBackoffClamped pins the overflow fix of the doubling retry
+// delay: base << attempt used to overflow time.Duration at large attempt
+// counts (1s of base backoff goes negative at attempt 34); the delay must
+// instead saturate at the cap for every attempt.
+func TestRetryBackoffClamped(t *testing.T) {
+	const maxRetryBackoff = DefaultCap
+	cases := []struct {
+		base    time.Duration
+		attempt int
+		want    time.Duration
+	}{
+		{0, 5, 0}, // no backoff configured
+		{time.Millisecond, 0, time.Millisecond},
+		{time.Millisecond, 3, 8 * time.Millisecond}, // doubling intact below the cap
+		{time.Second, 4, 16 * time.Second},
+		{time.Second, 5, maxRetryBackoff},   // first clamped step (32s > 30s)
+		{time.Second, 34, maxRetryBackoff},  // would be negative unclamped
+		{time.Second, 200, maxRetryBackoff}, // shift count past the word width
+		{time.Minute, 0, maxRetryBackoff},   // base already above the cap
+	}
+	for _, tc := range cases {
+		if got := Delay(tc.base, maxRetryBackoff, tc.attempt); got != tc.want {
+			t.Errorf("Delay(%v, %v, %d) = %v, want %v", tc.base, maxRetryBackoff, tc.attempt, got, tc.want)
+		}
+		if got := Delay(tc.base, maxRetryBackoff, tc.attempt); got < 0 || got > maxRetryBackoff {
+			t.Errorf("Delay(%v, %v, %d) = %v out of [0, %v]", tc.base, maxRetryBackoff, tc.attempt, got, maxRetryBackoff)
+		}
+	}
+}
+
 // TestDelayDefaultCap pins that a non-positive cap falls back to
 // DefaultCap rather than disabling saturation.
 func TestDelayDefaultCap(t *testing.T) {

@@ -11,7 +11,6 @@ import (
 	"affinityalloc/internal/faults"
 	"affinityalloc/internal/sys"
 	"affinityalloc/internal/telemetry"
-	"affinityalloc/internal/trace"
 	"affinityalloc/internal/workloads"
 )
 
@@ -116,16 +115,10 @@ func TestCollectorOrderIndependentOfScheduling(t *testing.T) {
 	build := func(jobs int) []CollectedCell {
 		col := &Collector{}
 		opt := Options{Scale: Tiny, Seed: 1, Jobs: jobs, Collect: col}
+		cfg := baseConfig(opt, core.DefaultPolicy())
 		cells := make([]cell, 8)
 		for i := range cells {
-			i := i
-			cells[i] = cell{
-				label: fmt.Sprintf("vecadd/Δ%d", i),
-				run: func(rec *trace.Recorder) (workloads.Result, error) {
-					cfg := baseConfig(opt, core.DefaultPolicy())
-					return workloads.Run(cfg, workloads.VecAdd{N: 1 << 9, ForceDelta: i}, sys.AffAlloc)
-				},
-			}
+			cells[i] = cell{fmt.Sprintf("vecadd/Δ%d", i), cfg, workloads.VecAdd{N: 1 << 9, ForceDelta: i}, sys.AffAlloc}
 		}
 		if _, err := runCells(opt, cells); err != nil {
 			t.Fatal(err)
@@ -153,13 +146,8 @@ func TestCollectorSkipsFailedCells(t *testing.T) {
 	col := &Collector{}
 	opt := Options{Jobs: 2, Collect: col}
 	cells := []cell{
-		{label: "ok", run: func(rec *trace.Recorder) (workloads.Result, error) {
-			cfg := baseConfig(Options{Scale: Tiny, Seed: 1}, core.DefaultPolicy())
-			return workloads.Run(cfg, workloads.VecAdd{N: 1 << 9, ForceDelta: 0}, sys.AffAlloc)
-		}},
-		{label: "bad", run: func(rec *trace.Recorder) (workloads.Result, error) {
-			return workloads.Result{}, errors.New("boom")
-		}},
+		{"ok", baseConfig(Options{Scale: Tiny, Seed: 1}, core.DefaultPolicy()), workloads.VecAdd{N: 1 << 9, ForceDelta: 0}, sys.AffAlloc},
+		failCell("bad", errors.New("boom")),
 	}
 	if _, err := runCells(opt, cells); err == nil {
 		t.Fatal("expected the failing cell's error")

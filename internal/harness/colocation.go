@@ -61,15 +61,10 @@ func Colocation(opt Options) (*Figure, error) {
 	ropt := opt
 	rec := trace.NewCollector()
 	ropt.Record = rec
+	cfg := baseConfig(opt, core.DefaultPolicy())
 	cells := make([]cell, len(ws))
 	for i, w := range ws {
-		w := w
-		cells[i] = cell{
-			label: w.Name(),
-			run: func(r *trace.Recorder) (workloads.Result, error) {
-				return workloads.RunTraced(baseConfig(opt, core.DefaultPolicy()), w, sys.AffAlloc, r)
-			},
-		}
+		cells[i] = cell{w.Name(), cfg, w, sys.AffAlloc}
 	}
 	if _, err := runCells(ropt, cells); err != nil {
 		return nil, err

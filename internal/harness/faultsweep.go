@@ -8,7 +8,6 @@ import (
 	"affinityalloc/internal/faults"
 	"affinityalloc/internal/stats"
 	"affinityalloc/internal/sys"
-	"affinityalloc/internal/trace"
 	"affinityalloc/internal/workloads"
 )
 
@@ -54,16 +53,11 @@ func FaultsSweep(opt Options) (*Figure, error) {
 
 	cells := make([]cell, 0, len(levels)*len(sys.Modes))
 	for _, lv := range levels {
+		o := opt
+		o.Faults = lv.spec
+		cfg := baseConfig(o, core.DefaultPolicy())
 		for _, mode := range sys.Modes {
-			lv, mode := lv, mode
-			o := opt
-			o.Faults = lv.spec
-			cells = append(cells, cell{
-				label: fmt.Sprintf("bfs/%s/%v", lv.name, mode),
-				run: func(rec *trace.Recorder) (workloads.Result, error) {
-					return workloads.RunTraced(baseConfig(o, core.DefaultPolicy()), w, mode, rec)
-				},
-			})
+			cells = append(cells, cell{fmt.Sprintf("bfs/%s/%v", lv.name, mode), cfg, w, mode})
 		}
 	}
 	rs, err := runCells(opt, cells)

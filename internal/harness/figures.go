@@ -6,7 +6,6 @@ import (
 	"affinityalloc/internal/core"
 	"affinityalloc/internal/stats"
 	"affinityalloc/internal/sys"
-	"affinityalloc/internal/trace"
 	"affinityalloc/internal/workloads"
 )
 
@@ -45,11 +44,7 @@ func Fig4(opt Options) (*Figure, error) {
 
 	cells := make([]cell, len(variants))
 	for i, v := range variants {
-		v := v
-		cells[i] = cell{
-			label: "vecadd/" + v.name,
-			run:   func(rec *trace.Recorder) (workloads.Result, error) { return workloads.RunTraced(cfg, v.w, v.mode, rec) },
-		}
+		cells[i] = cell{"vecadd/" + v.name, cfg, v.w, v.mode}
 	}
 	rs, err := runCells(opt, cells)
 	if err != nil {
@@ -130,6 +125,15 @@ func Fig12(opt Options) (*Figure, error) {
 	}, nil
 }
 
+// policyName is a bank-selection policy's column and cell label:
+// "Hybrid-5" for Hybrid with H=5, the policy's own name otherwise.
+func policyName(p core.PolicyConfig) string {
+	if p.Policy == core.Hybrid {
+		return fmt.Sprintf("Hybrid-%d", int(p.H))
+	}
+	return p.Policy.String()
+}
+
 // Fig13 regenerates the irregular bank-selection policy sensitivity:
 // Rnd / Lnr / Min-Hop / Hybrid-{1,3,5,7}, normalized to Rnd.
 func Fig13(opt Options) (*Figure, error) {
@@ -142,13 +146,6 @@ func Fig13(opt Options) (*Figure, error) {
 		{Policy: core.Hybrid, H: 5},
 		{Policy: core.Hybrid, H: 7},
 	}
-	name := func(p core.PolicyConfig) string {
-		if p.Policy == core.Hybrid {
-			return fmt.Sprintf("Hybrid-%d", int(p.H))
-		}
-		return p.Policy.String()
-	}
-
 	spd := stats.NewTable("Fig 13: speedup by bank-selection policy (normalized to Rnd)",
 		"workload", "Rnd", "Lnr", "Min-Hop", "Hybrid-1", "Hybrid-3", "Hybrid-5", "Hybrid-7")
 	trf := stats.NewTable("Fig 13: total NoC flit-hops by policy (normalized to Rnd)",
@@ -158,13 +155,7 @@ func Fig13(opt Options) (*Figure, error) {
 	cells := make([]cell, 0, len(ws)*len(policies))
 	for _, w := range ws {
 		for _, p := range policies {
-			w, p := w, p
-			cells = append(cells, cell{
-				label: fmt.Sprintf("%s/%s", w.Name(), name(p)),
-				run: func(rec *trace.Recorder) (workloads.Result, error) {
-					return workloads.RunTraced(baseConfig(opt, p), w, sys.AffAlloc, rec)
-				},
-			})
+			cells = append(cells, cell{fmt.Sprintf("%s/%s", w.Name(), policyName(p)), baseConfig(opt, p), w, sys.AffAlloc})
 		}
 	}
 	rs, err := runCells(opt, cells)
@@ -182,14 +173,14 @@ func Fig13(opt Options) (*Figure, error) {
 			sp := speedup(r, base)
 			row = append(row, sp)
 			trow = append(trow, float64(r.Metrics.FlitHops)/float64(max(base.Metrics.FlitHops, 1)))
-			perPolicy[name(p)] = append(perPolicy[name(p)], sp)
+			perPolicy[policyName(p)] = append(perPolicy[policyName(p)], sp)
 		}
 		spd.AddRow(row...)
 		trf.AddRow(trow...)
 	}
 	gm := []interface{}{"geomean"}
 	for _, p := range policies {
-		gm = append(gm, geomeanColumn(perPolicy[name(p)]))
+		gm = append(gm, geomeanColumn(perPolicy[policyName(p)]))
 	}
 	spd.AddRow(gm...)
 

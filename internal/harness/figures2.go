@@ -2,14 +2,12 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
 	"affinityalloc/internal/core"
 	"affinityalloc/internal/engine"
 	"affinityalloc/internal/graph"
 	"affinityalloc/internal/stats"
 	"affinityalloc/internal/sys"
-	"affinityalloc/internal/trace"
 	"affinityalloc/internal/workloads"
 )
 
@@ -60,13 +58,7 @@ func Fig6(opt Options) (*Figure, error) {
 	cells := make([]cell, 0, len(names)*len(variants))
 	for wi := range names {
 		for vi, v := range variants {
-			w := byVariant[vi][wi]
-			cells = append(cells, cell{
-				label: fmt.Sprintf("fig6 %s/%s", names[wi], v.name),
-				run: func(rec *trace.Recorder) (workloads.Result, error) {
-					return workloads.RunTraced(cfg, w, sys.NearL3, rec)
-				},
-			})
+			cells = append(cells, cell{fmt.Sprintf("fig6 %s/%s", names[wi], v.name), cfg, byVariant[vi][wi], sys.NearL3})
 		}
 	}
 	rs, err := runCells(opt, cells)
@@ -104,53 +96,70 @@ func Fig6(opt Options) (*Figure, error) {
 	}, nil
 }
 
+// atomicSample is one atomic-stream op seen by the Fig-14 sampler.
+type atomicSample struct {
+	bank int
+	at   engine.Time
+}
+
+// atomicSampled wraps a workload so that its run keeps the bank and cycle
+// of every atomic-stream op. The samples are bucketed once the run's
+// length is known. The sampler only observes, so the wrapped run
+// simulates exactly what the bare workload would.
+type atomicSampled struct {
+	workloads.Workload
+	banks   int
+	samples []atomicSample
+}
+
+// Run implements workloads.Workload.
+func (w *atomicSampled) Run(s *sys.System, mode sys.Mode) (workloads.Result, error) {
+	w.banks = s.Mesh.Banks()
+	s.SE.SetAtomicSampler(func(bank int, at engine.Time) {
+		w.samples = append(w.samples, atomicSample{bank, at})
+	})
+	return w.Workload.Run(s, mode)
+}
+
+// timeline buckets the samples into about 16 windows of a run that took
+// cycles.
+func (w *atomicSampled) timeline(cycles engine.Time) *stats.Timeline {
+	tl := stats.NewTimeline(w.banks, cycles/16+1)
+	for _, a := range w.samples {
+		tl.Add(a.bank, a.at)
+	}
+	return tl
+}
+
 // Fig14 regenerates the per-bank atomic-stream occupancy timelines of
 // bfs_push under Rnd, Min-Hop, and Hybrid-5.
 func Fig14(opt Options) (*Figure, error) {
 	g, gt := sharedGraph(opt)
-	w := workloads.BFS{G: g, GT: gt, Policy: graph.PushOnly{}, Src: -1}
 	policies := []core.PolicyConfig{
 		{Policy: core.Rnd},
 		{Policy: core.MinHop},
 		{Policy: core.Hybrid, H: 5},
 	}
+	sampled := make([]*atomicSampled, len(policies))
+	cells := make([]cell, len(policies))
+	for pi, p := range policies {
+		sampled[pi] = &atomicSampled{Workload: workloads.BFS{G: g, GT: gt, Policy: graph.PushOnly{}, Src: -1}}
+		cells[pi] = cell{"fig14 bfs_push/" + policyName(p), baseConfig(opt, p), sampled[pi], sys.AffAlloc}
+	}
+	rs, err := runCells(opt, cells)
+	if err != nil {
+		return nil, err
+	}
 	tables := make([]*stats.Table, len(policies))
-	err := opt.forEach(len(policies), func(pi int) error {
-		p := policies[pi]
-		name := p.Policy.String()
-		if p.Policy == core.Hybrid {
-			name = fmt.Sprintf("Hybrid-%d", int(p.H))
-		}
-		start := time.Now()
-		s, err := sys.New(baseConfig(opt, p))
-		if err != nil {
-			return err
-		}
-		// First run to learn the duration, then rerun with ~16 buckets.
-		probe, err := w.Run(sys.MustNew(baseConfig(opt, p)), sys.AffAlloc)
-		if err != nil {
-			return err
-		}
-		bucket := engine.Time(probe.Metrics.Cycles/16) + 1
-		tl := stats.NewTimeline(s.Mesh.Banks(), bucket)
-		s.SE.SetAtomicSampler(func(bank int, at engine.Time) { tl.Add(bank, at) })
-		res, err := w.Run(s, sys.AffAlloc)
-		if err != nil {
-			return err
-		}
-		opt.Timing.observe("fig14 bfs_push/"+name, time.Since(start), probe.Metrics.Cycles+res.Metrics.Cycles)
-
-		tbl := stats.NewTable(fmt.Sprintf("Fig 14: atomic ops per bank per window — %s (imbalance max/avg %.2f)", name, tl.Imbalance()),
+	for pi, p := range policies {
+		tl := sampled[pi].timeline(rs[pi].Metrics.Cycles)
+		tbl := stats.NewTable(fmt.Sprintf("Fig 14: atomic ops per bank per window — %s (imbalance max/avg %.2f)", policyName(p), tl.Imbalance()),
 			"t/T", "min", "p25", "avg", "p75", "max")
 		for b := 0; b < tl.Buckets(); b++ {
 			d := tl.Distribution(b)
 			tbl.AddRow(fmt.Sprintf("%.2f", float64(b)/float64(tl.Buckets())), d.Min, d.P25, d.Avg, d.P75, d.Max)
 		}
 		tables[pi] = tbl
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return &Figure{
 		ID:     "fig14",
@@ -184,11 +193,7 @@ func Fig15(opt Options) (*Figure, error) {
 	cells := make([]cell, 0, len(points)*len(modes))
 	for _, pt := range points {
 		for _, mode := range modes {
-			pt, mode := pt, mode
-			cells = append(cells, cell{
-				label: fmt.Sprintf("fig15 %s %dx/%v", pt.w.Name(), pt.mult, mode),
-				run:   func(rec *trace.Recorder) (workloads.Result, error) { return workloads.RunTraced(cfg, pt.w, mode, rec) },
-			})
+			cells = append(cells, cell{fmt.Sprintf("fig15 %s %dx/%v", pt.w.Name(), pt.mult, mode), cfg, pt.w, mode})
 		}
 	}
 	rs, err := runCells(opt, cells)
@@ -210,6 +215,57 @@ func Fig15(opt Options) (*Figure, error) {
 	}, nil
 }
 
+// policyRun is one (policy, mode) configuration that a graph-family
+// figure runs every workload under.
+type policyRun struct {
+	name string
+	pcfg core.PolicyConfig
+	mode sys.Mode
+}
+
+// graphInput is one graph of a graph-family figure (Figs 16, 19, 20): g,
+// its transpose gt, and wg, the weighted graph sssp runs on.
+type graphInput struct {
+	label     string
+	g, gt, wg *graph.Graph
+}
+
+// graphRow is one (graph, workload) row of a graph-family figure: the
+// graph's index, the workload, and one result per policyRun in run order.
+type graphRow struct {
+	gi int
+	w  workloads.Workload
+	rs []workloads.Result
+}
+
+// runGraphTrio runs pr_push, bfs and sssp on every graph under every
+// run, as cells labeled "<fig> <graph label> <workload>/<run>", and
+// returns the rows graph-major, in that workload order.
+func runGraphTrio(opt Options, fig string, graphs []graphInput, runs []policyRun) ([]graphRow, error) {
+	var rows []graphRow
+	var cells []cell
+	for gi, in := range graphs {
+		for _, w := range []workloads.Workload{
+			workloads.PageRank{G: in.g, GT: in.gt, Iters: prIters(opt), Dir: graph.Push},
+			workloads.BFS{G: in.g, GT: in.gt, Src: -1},
+			workloads.SSSP{G: in.wg, Src: -1},
+		} {
+			rows = append(rows, graphRow{gi: gi, w: w})
+			for _, r := range runs {
+				cells = append(cells, cell{fmt.Sprintf("%s %s %s/%s", fig, in.label, w.Name(), r.name), baseConfig(opt, r.pcfg), w, r.mode})
+			}
+		}
+	}
+	rs, err := runCells(opt, cells)
+	if err != nil {
+		return nil, err
+	}
+	for i := range rows {
+		rows[i].rs = rs[i*len(runs) : (i+1)*len(runs)]
+	}
+	return rows, nil
+}
+
 // Fig16 regenerates the graph-size scaling study.
 func Fig16(opt Options) (*Figure, error) {
 	baseScale, deg := 13, 12
@@ -221,59 +277,30 @@ func Fig16(opt Options) (*Figure, error) {
 	}
 	tbl := stats.NewTable("Fig 16: graph workloads vs |V| (speedup over Near-L3)",
 		"workload", "|V|", "Hybrid-5", "Min-Hops", "l3miss.Hybrid5", "l3miss.NearL3")
-	const sizes = 4
-	built := make([][]workloads.Workload, sizes)
-	if err := opt.forEach(sizes, func(ds int) error {
+	graphs := make([]graphInput, 4)
+	if err := opt.forEach(len(graphs), func(ds int) error {
 		scale := baseScale + ds
 		g := graph.Kronecker(scale, deg, 42+opt.Seed)
 		gt := g.Transpose()
 		wg := graph.Kronecker(scale, deg, 42+opt.Seed)
 		wg.AddUniformWeights(1, 255, 42+opt.Seed)
-		built[ds] = []workloads.Workload{
-			workloads.PageRank{G: g, GT: gt, Iters: prIters(opt), Dir: graph.Push},
-			workloads.BFS{G: g, GT: gt, Src: -1},
-			workloads.SSSP{G: wg, Src: -1},
-		}
+		graphs[ds] = graphInput{fmt.Sprintf("2^%d", scale), g, gt, wg}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-
-	runs := []struct {
-		name string
-		pcfg core.PolicyConfig
-		mode sys.Mode
-	}{
+	rows, err := runGraphTrio(opt, "fig16", graphs, []policyRun{
 		{"near", core.DefaultPolicy(), sys.NearL3},
 		{"hybrid5", core.PolicyConfig{Policy: core.Hybrid, H: 5}, sys.AffAlloc},
 		{"minhop", core.PolicyConfig{Policy: core.MinHop}, sys.AffAlloc},
-	}
-	var cells []cell
-	for ds := 0; ds < sizes; ds++ {
-		for _, w := range built[ds] {
-			for _, r := range runs {
-				w, r := w, r
-				cells = append(cells, cell{
-					label: fmt.Sprintf("fig16 2^%d %s/%s", baseScale+ds, w.Name(), r.name),
-					run: func(rec *trace.Recorder) (workloads.Result, error) {
-						return workloads.RunTraced(baseConfig(opt, r.pcfg), w, r.mode, rec)
-					},
-				})
-			}
-		}
-	}
-	rs, err := runCells(opt, cells)
+	})
 	if err != nil {
 		return nil, err
 	}
-	i := 0
-	for ds := 0; ds < sizes; ds++ {
-		for _, w := range built[ds] {
-			near, hy, mh := rs[i], rs[i+1], rs[i+2]
-			i += len(runs)
-			tbl.AddRow(w.Name(), fmt.Sprintf("2^%d", baseScale+ds), speedup(hy, near), speedup(mh, near),
-				hy.Metrics.L3MissRate(), near.Metrics.L3MissRate())
-		}
+	for _, row := range rows {
+		near, hy, mh := row.rs[0], row.rs[1], row.rs[2]
+		tbl.AddRow(row.w.Name(), graphs[row.gi].label, speedup(hy, near), speedup(mh, near),
+			hy.Metrics.L3MissRate(), near.Metrics.L3MissRate())
 	}
 	return &Figure{
 		ID:     "fig16",
@@ -305,6 +332,20 @@ func Fig17(opt Options) (*Figure, error) {
 	}, nil
 }
 
+// iterTraced wraps BFS so that its run keeps the per-iteration trace
+// Fig 18 renders.
+type iterTraced struct {
+	workloads.BFS
+	iters []workloads.IterTrace
+}
+
+// Run implements workloads.Workload.
+func (w *iterTraced) Run(s *sys.System, mode sys.Mode) (workloads.Result, error) {
+	r, iters, err := w.BFS.RunTraced(s, mode)
+	w.iters = iters
+	return r, err
+}
+
 // Fig18 regenerates the push/pull/switch timelines under each
 // configuration.
 func Fig18(opt Options) (*Figure, error) {
@@ -319,34 +360,17 @@ func Fig18(opt Options) (*Figure, error) {
 		}
 		return p.Name()
 	}
-	type timeline struct {
-		cycles uint64
-		line   string
+	cfg := baseConfig(opt, core.DefaultPolicy())
+	var traced []*iterTraced
+	var cells []cell
+	for _, mode := range sys.Modes {
+		for _, p := range policies {
+			w := &iterTraced{BFS: workloads.BFS{G: g, GT: gt, Policy: p, Src: -1}}
+			traced = append(traced, w)
+			cells = append(cells, cell{fmt.Sprintf("fig18 %s/%v", polName(p, mode), mode), cfg, w, mode})
+		}
 	}
-	rows := make([]timeline, len(sys.Modes)*len(policies))
-	err := opt.forEach(len(rows), func(i int) error {
-		mode := sys.Modes[i/len(policies)]
-		p := policies[i%len(policies)]
-		w := workloads.BFS{G: g, GT: gt, Policy: p, Src: -1}
-		start := time.Now()
-		s, err := sys.New(baseConfig(opt, core.DefaultPolicy()))
-		if err != nil {
-			return err
-		}
-		res, traces, err := w.RunTraced(s, mode)
-		if err != nil {
-			return err
-		}
-		opt.Timing.observe(fmt.Sprintf("fig18 %s/%v", polName(p, mode), mode), time.Since(start), res.Metrics.Cycles)
-		total := float64(res.Metrics.Cycles)
-		line := ""
-		for _, tr := range traces {
-			share := 100 * float64(tr.End-tr.Start) / total
-			line += fmt.Sprintf("%d:%s(%.0f%%) ", tr.Iter, tr.Dir, share)
-		}
-		rows[i] = timeline{cycles: uint64(res.Metrics.Cycles), line: line}
-		return nil
-	})
+	rs, err := runCells(opt, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -355,8 +379,14 @@ func Fig18(opt Options) (*Figure, error) {
 		tbl := stats.NewTable(fmt.Sprintf("Fig 18: BFS iteration timeline — %v", mode),
 			"policy", "total.cycles", "iter:dir(share%)")
 		for pi, p := range policies {
-			row := rows[mi*len(policies)+pi]
-			tbl.AddRow(polName(p, mode), row.cycles, row.line)
+			i := mi*len(policies) + pi
+			total := float64(rs[i].Metrics.Cycles)
+			line := ""
+			for _, tr := range traced[i].iters {
+				share := 100 * float64(tr.End-tr.Start) / total
+				line += fmt.Sprintf("%d:%s(%.0f%%) ", tr.Iter, tr.Dir, share)
+			}
+			tbl.AddRow(polName(p, mode), uint64(rs[i].Metrics.Cycles), line)
 		}
 		tables = append(tables, tbl)
 	}
@@ -383,7 +413,7 @@ func Fig19(opt Options) (*Figure, error) {
 	tbl := stats.NewTable("Fig 19: speedup vs average degree (fixed |E|, normalized to Rnd)",
 		"workload", "D", "Hybrid-5", "Min-Hops", "Near-L3")
 	degrees := []int{4, 8, 16, 32, 64, 128}
-	built := make([][]workloads.Workload, len(degrees))
+	graphs := make([]graphInput, len(degrees))
 	if err := opt.forEach(len(degrees), func(di int) error {
 		d := degrees[di]
 		n := int32(totalEdges / int64(d))
@@ -391,51 +421,23 @@ func Fig19(opt Options) (*Figure, error) {
 		gt := g.Transpose()
 		wg := graph.PowerLaw(n, d, 7+opt.Seed)
 		wg.AddUniformWeights(1, 255, 7+opt.Seed)
-		built[di] = []workloads.Workload{
-			workloads.PageRank{G: g, GT: gt, Iters: prIters(opt), Dir: graph.Push},
-			workloads.BFS{G: g, GT: gt, Src: -1},
-			workloads.SSSP{G: wg, Src: -1},
-		}
+		graphs[di] = graphInput{fmt.Sprintf("D%d", d), g, gt, wg}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-
-	runs := []struct {
-		name string
-		pcfg core.PolicyConfig
-		mode sys.Mode
-	}{
+	rows, err := runGraphTrio(opt, "fig19", graphs, []policyRun{
 		{"rnd", core.PolicyConfig{Policy: core.Rnd}, sys.AffAlloc},
 		{"hybrid5", core.PolicyConfig{Policy: core.Hybrid, H: 5}, sys.AffAlloc},
 		{"minhop", core.PolicyConfig{Policy: core.MinHop}, sys.AffAlloc},
 		{"near", core.DefaultPolicy(), sys.NearL3},
-	}
-	var cells []cell
-	for di, d := range degrees {
-		for _, w := range built[di] {
-			for _, r := range runs {
-				w, r := w, r
-				cells = append(cells, cell{
-					label: fmt.Sprintf("fig19 D%d %s/%s", d, w.Name(), r.name),
-					run: func(rec *trace.Recorder) (workloads.Result, error) {
-						return workloads.RunTraced(baseConfig(opt, r.pcfg), w, r.mode, rec)
-					},
-				})
-			}
-		}
-	}
-	rs, err := runCells(opt, cells)
+	})
 	if err != nil {
 		return nil, err
 	}
-	i := 0
-	for di, d := range degrees {
-		for _, w := range built[di] {
-			rnd, hy, mh, near := rs[i], rs[i+1], rs[i+2], rs[i+3]
-			i += len(runs)
-			tbl.AddRow(w.Name(), d, speedup(hy, rnd), speedup(mh, rnd), speedup(near, rnd))
-		}
+	for _, row := range rows {
+		rnd, hy, mh, near := row.rs[0], row.rs[1], row.rs[2], row.rs[3]
+		tbl.AddRow(row.w.Name(), degrees[row.gi], speedup(hy, rnd), speedup(mh, rnd), speedup(near, rnd))
 	}
 	return &Figure{
 		ID:     "fig19",
@@ -488,64 +490,37 @@ func Fig20(opt Options) (*Figure, error) {
 		"graph", "workload", "Near-L3", "Min-Hops", "Hybrid-5")
 	trf := stats.NewTable("Fig 20: total NoC flit-hops (normalized to Near-L3)",
 		"graph", "workload", "Near-L3", "Min-Hops", "Hybrid-5")
-	graphs := table4Graphs(opt)
-	built := make([][]workloads.Workload, len(graphs))
-	if err := opt.forEach(len(graphs), func(gi int) error {
-		g := graphs[gi].G
+	stand := table4Graphs(opt)
+	graphs := make([]graphInput, len(stand))
+	if err := opt.forEach(len(stand), func(gi int) error {
+		g := stand[gi].G
 		gt := g.Transpose()
 		// A weighted view for sssp that shares structure with g.
 		wg := &graph.Graph{N: g.N, Index: g.Index, Edges: g.Edges}
 		wg.AddUniformWeights(1, 255, 300+opt.Seed)
-		built[gi] = []workloads.Workload{
-			workloads.PageRank{G: g, GT: gt, Iters: prIters(opt), Dir: graph.Push},
-			workloads.BFS{G: g, GT: gt, Src: -1},
-			workloads.SSSP{G: wg, Src: -1},
-		}
+		graphs[gi] = graphInput{stand[gi].Name, g, gt, wg}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-
-	runs := []struct {
-		name string
-		pcfg core.PolicyConfig
-		mode sys.Mode
-	}{
+	rows, err := runGraphTrio(opt, "fig20", graphs, []policyRun{
 		{"near", core.DefaultPolicy(), sys.NearL3},
 		{"minhop", core.PolicyConfig{Policy: core.MinHop}, sys.AffAlloc},
 		{"hybrid5", core.PolicyConfig{Policy: core.Hybrid, H: 5}, sys.AffAlloc},
-	}
-	var cells []cell
-	for gi, ge := range graphs {
-		for _, w := range built[gi] {
-			for _, r := range runs {
-				w, r := w, r
-				cells = append(cells, cell{
-					label: fmt.Sprintf("fig20 %s %s/%s", ge.Name, w.Name(), r.name),
-					run: func(rec *trace.Recorder) (workloads.Result, error) {
-						return workloads.RunTraced(baseConfig(opt, r.pcfg), w, r.mode, rec)
-					},
-				})
-			}
-		}
-	}
-	rs, err := runCells(opt, cells)
+	})
 	if err != nil {
 		return nil, err
 	}
 
 	var hySpeedups []float64
-	i := 0
-	for gi, ge := range graphs {
-		for _, w := range built[gi] {
-			near, mh, hy := rs[i], rs[i+1], rs[i+2]
-			i += len(runs)
-			spd.AddRow(ge.Name, w.Name(), 1.0, speedup(mh, near), speedup(hy, near))
-			nt := float64(max(near.Metrics.FlitHops, 1))
-			trf.AddRow(ge.Name, w.Name(), 1.0,
-				float64(mh.Metrics.FlitHops)/nt, float64(hy.Metrics.FlitHops)/nt)
-			hySpeedups = append(hySpeedups, speedup(hy, near))
-		}
+	for _, row := range rows {
+		near, mh, hy := row.rs[0], row.rs[1], row.rs[2]
+		name := graphs[row.gi].label
+		spd.AddRow(name, row.w.Name(), 1.0, speedup(mh, near), speedup(hy, near))
+		nt := float64(max(near.Metrics.FlitHops, 1))
+		trf.AddRow(name, row.w.Name(), 1.0,
+			float64(mh.Metrics.FlitHops)/nt, float64(hy.Metrics.FlitHops)/nt)
+		hySpeedups = append(hySpeedups, speedup(hy, near))
 	}
 	return &Figure{
 		ID:     "fig20",

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"affinityalloc/internal/core"
 	"affinityalloc/internal/faults"
@@ -91,16 +90,6 @@ type Options struct {
 	// owns its own reconciler, and the migration schedule depends only
 	// on seed and config — never on Jobs.
 	Realloc realloc.Config
-	// CellTimeout bounds one cell's wall-clock run; an overrunning cell
-	// fails with a timeout error while its siblings keep running (0: no
-	// timeout).
-	CellTimeout time.Duration
-	// CellRetries re-runs a cell whose error is marked ErrTransient up to
-	// this many extra times before reporting it failed.
-	CellRetries int
-	// RetryBackoff is the wait before the first retry, doubling per
-	// attempt (0: retry immediately).
-	RetryBackoff time.Duration
 
 	// limit, when set, is a shared pool bounding concurrent cells across
 	// experiments (see ShareWorkers).
@@ -199,16 +188,11 @@ func runModes(opt Options, w workloads.Workload) (map[sys.Mode]workloads.Result,
 // runModesAll runs every (workload × mode) pair as one flat batch of
 // parallel cells and returns the per-workload mode maps in input order.
 func runModesAll(opt Options, ws []workloads.Workload) ([]map[sys.Mode]workloads.Result, error) {
+	cfg := baseConfig(opt, core.DefaultPolicy())
 	cells := make([]cell, 0, len(ws)*len(sys.Modes))
 	for _, w := range ws {
 		for _, mode := range sys.Modes {
-			w, mode := w, mode
-			cells = append(cells, cell{
-				label: fmt.Sprintf("%s/%v", w.Name(), mode),
-				run: func(rec *trace.Recorder) (workloads.Result, error) {
-					return workloads.RunTraced(baseConfig(opt, core.DefaultPolicy()), w, mode, rec)
-				},
-			})
+			cells = append(cells, cell{fmt.Sprintf("%s/%v", w.Name(), mode), cfg, w, mode})
 		}
 	}
 	rs, err := runCells(opt, cells)

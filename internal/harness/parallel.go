@@ -10,25 +10,21 @@ import (
 	"time"
 
 	"affinityalloc/internal/engine"
-	"affinityalloc/internal/trace"
+	"affinityalloc/internal/sys"
 	"affinityalloc/internal/workloads"
 )
 
-// cell is one independent simulation unit: a (workload × configuration)
-// run that builds its own private sys.System. Cells never share mutable
-// state — workload construction (graph generation, weight assignment)
-// happens before the cells are launched — so any execution order yields
-// the same Results and runCells can schedule them freely.
-//
-// The run body receives the cell's trace recorder — nil unless
-// Options.Record is set — and is expected to attach it to the system it
-// builds (workloads.RunTraced does). Each retry attempt gets a fresh
-// recorder so a recorded scenario never mixes attempts, and a timed-out
-// attempt's abandoned goroutine keeps writing only to its own orphaned
-// recorder.
+// cell is one independent simulation unit, as data: workload w run under
+// mode on a private sys.System built from cfg. runCells is the one
+// runner; it hands every cell to workloads.RunTraced. Cells never share
+// mutable state — workload construction (graph generation, weight
+// assignment) happens before the cells are launched — so any execution
+// order yields the same Results and runCells can schedule them freely.
 type cell struct {
 	label string
-	run   func(rec *trace.Recorder) (workloads.Result, error)
+	cfg   sys.Config
+	w     workloads.Workload
+	mode  sys.Mode
 }
 
 // jobs resolves the worker count: Options.Jobs when positive, else the
@@ -109,7 +105,7 @@ func (o Options) forEach(n int, fn func(i int) error) error {
 // reserved before the cells launch — both outputs are deterministic for
 // any worker count.
 //
-// Cells run guarded (see Options.runCell): a panicking, timed-out or
+// Cells run behind a panic shield (see Options.runCell): a panicking or
 // erroring cell fails alone while the rest of the batch completes. When
 // any cell fails the partial results are returned alongside a
 // *CellFailures error listing every failure in input order; failed cells'

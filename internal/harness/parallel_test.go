@@ -11,7 +11,6 @@ import (
 
 	"affinityalloc/internal/core"
 	"affinityalloc/internal/sys"
-	"affinityalloc/internal/trace"
 	"affinityalloc/internal/workloads"
 )
 
@@ -61,16 +60,10 @@ func TestFig13ParallelByteIdentical(t *testing.T) {
 func TestRunCellsDeterministicOrder(t *testing.T) {
 	build := func(jobs int) ([]workloads.Result, error) {
 		opt := Options{Scale: Tiny, Seed: 1, Jobs: jobs}
+		cfg := baseConfig(opt, core.DefaultPolicy())
 		cells := make([]cell, 12)
 		for i := range cells {
-			i := i
-			cells[i] = cell{
-				label: fmt.Sprintf("vecadd/Δ%d", i),
-				run: func(rec *trace.Recorder) (workloads.Result, error) {
-					cfg := baseConfig(opt, core.DefaultPolicy())
-					return workloads.Run(cfg, workloads.VecAdd{N: 1 << 10, ForceDelta: i}, sys.AffAlloc)
-				},
-			}
+			cells[i] = cell{fmt.Sprintf("vecadd/Δ%d", i), cfg, workloads.VecAdd{N: 1 << 10, ForceDelta: i}, sys.AffAlloc}
 		}
 		return runCells(opt, cells)
 	}
@@ -127,14 +120,13 @@ func TestRunCellsReportsLowestIndexError(t *testing.T) {
 	var ran int64
 	cells := make([]cell, 8)
 	for i := range cells {
-		i := i
-		cells[i] = cell{label: fmt.Sprintf("c%d", i), run: func(rec *trace.Recorder) (workloads.Result, error) {
+		cells[i] = testCell(fmt.Sprintf("c%d", i), func() (workloads.Result, error) {
 			atomic.AddInt64(&ran, 1)
 			if i == 2 || i == 6 {
 				return workloads.Result{}, errors.New("boom")
 			}
 			return workloads.Result{Name: "ok"}, nil
-		}}
+		})
 	}
 	_, err := runCells(opt, cells)
 	if err == nil || !strings.Contains(err.Error(), "c2") {
@@ -150,13 +142,10 @@ func TestRunCellsReportsLowestIndexError(t *testing.T) {
 func TestTimingRecordsCells(t *testing.T) {
 	timing := &Timing{}
 	opt := Options{Scale: Tiny, Seed: 1, Jobs: 4, Timing: timing}
+	cfg := baseConfig(opt, core.DefaultPolicy())
 	cells := make([]cell, 6)
 	for i := range cells {
-		i := i
-		cells[i] = cell{label: fmt.Sprintf("cell%d", i), run: func(rec *trace.Recorder) (workloads.Result, error) {
-			cfg := baseConfig(opt, core.DefaultPolicy())
-			return workloads.Run(cfg, workloads.VecAdd{N: 1 << 9, ForceDelta: i}, sys.AffAlloc)
-		}}
+		cells[i] = cell{fmt.Sprintf("cell%d", i), cfg, workloads.VecAdd{N: 1 << 9, ForceDelta: i}, sys.AffAlloc}
 	}
 	if _, err := runCells(opt, cells); err != nil {
 		t.Fatal(err)

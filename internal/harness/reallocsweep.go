@@ -9,7 +9,6 @@ import (
 	"affinityalloc/internal/realloc"
 	"affinityalloc/internal/stats"
 	"affinityalloc/internal/sys"
-	"affinityalloc/internal/trace"
 	"affinityalloc/internal/workloads"
 )
 
@@ -94,7 +93,6 @@ func ReallocSweep(opt Options) (*Figure, error) {
 	for _, w := range ws {
 		for _, sc := range scens {
 			for vi, rv := range variants {
-				w, sc, rv := w, sc, rv
 				vname := "static"
 				if vi == 1 {
 					vname = "dynamic"
@@ -102,12 +100,8 @@ func ReallocSweep(opt Options) (*Figure, error) {
 				o := opt
 				o.Faults = sc.spec
 				o.Realloc = rv
-				cells = append(cells, cell{
-					label: fmt.Sprintf("%s/%s/%s", w.Name(), sc.name, vname),
-					run: func(rec *trace.Recorder) (workloads.Result, error) {
-						return workloads.RunTraced(baseConfig(o, core.DefaultPolicy()), w, sys.AffAlloc, rec)
-					},
-				})
+				cells = append(cells, cell{fmt.Sprintf("%s/%s/%s", w.Name(), sc.name, vname),
+					baseConfig(o, core.DefaultPolicy()), w, sys.AffAlloc})
 			}
 		}
 	}

@@ -2,10 +2,10 @@ package harness
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
-	"affinityalloc/internal/core"
 	"affinityalloc/internal/faults"
 	"affinityalloc/internal/trace"
 	"affinityalloc/internal/workloads"
@@ -112,34 +112,23 @@ func TestRecordingDoesNotPerturbFigures(t *testing.T) {
 	}
 }
 
-// A retried cell's scenario must reflect only the successful attempt,
-// and failed cells leave no scenario behind.
+// Failed cells, erroring or panicking, leave no scenario behind; a
+// successful sibling keeps its own.
 func TestRecordSkipsFailedAttempts(t *testing.T) {
 	col := trace.NewCollector()
-	opt := Options{Jobs: 2, CellRetries: 2, Record: col}
-	attempts := 0
 	cells := []cell{
-		{label: "flaky", run: func(rec *trace.Recorder) (workloads.Result, error) {
-			attempts++
-			rec.Begin(baseConfig(opt, core.DefaultPolicy()), 0)
-			if attempts < 2 {
-				return workloads.Result{}, fmt.Errorf("wobble: %w", ErrTransient)
-			}
-			return workloads.Result{Checksum: 1}, nil
-		}},
-		{label: "dead", run: func(rec *trace.Recorder) (workloads.Result, error) {
-			return workloads.Result{}, fmt.Errorf("hard failure")
-		}},
+		okCell("ok", 1),
+		failCell("dead", errors.New("hard failure")),
+		testCell("crashed", func() (workloads.Result, error) { panic("simulated crash") }),
 	}
-	_, err := runCells(opt, cells)
-	if err == nil {
-		t.Fatal("expected the dead cell's failure")
+	if _, err := runCells(Options{Jobs: 2, Record: col}, cells); err == nil {
+		t.Fatal("expected the failed cells' errors")
 	}
 	tr := col.Trace()
 	if len(tr.Scenarios) != 1 {
-		t.Fatalf("collected %d scenarios, want 1 (flaky's successful attempt only)", len(tr.Scenarios))
+		t.Fatalf("collected %d scenarios, want 1 (the ok cell's only)", len(tr.Scenarios))
 	}
-	if tr.Scenarios[0].Label != "flaky" {
-		t.Errorf("collected %q, want flaky", tr.Scenarios[0].Label)
+	if tr.Scenarios[0].Label != "ok" {
+		t.Errorf("collected %q, want ok", tr.Scenarios[0].Label)
 	}
 }

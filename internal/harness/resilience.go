@@ -1,24 +1,15 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"strings"
-	"time"
 
-	"affinityalloc/internal/backoff"
 	"affinityalloc/internal/trace"
 	"affinityalloc/internal/workloads"
 )
 
-// ErrTransient marks a cell failure worth retrying: wrap (or join) it into
-// an error returned from a cell to opt into the Options.CellRetries
-// retry-with-backoff path. Panics and timeouts are never treated as
-// transient — a crashed or wedged simulation will crash or wedge again.
-var ErrTransient = errors.New("transient failure")
-
 // CellFailure is one failed cell of a batch: its input index, harness
-// label, and final error (after any retries).
+// label, and error.
 type CellFailure struct {
 	Index int
 	Label string
@@ -72,79 +63,26 @@ func (e *CellFailures) Failed() []string {
 	return out
 }
 
-// maxRetryBackoff caps the doubling retry backoff; the saturation (and
-// the overflow-proofing it provides at large CellRetries) lives in the
-// shared internal/backoff package, which the affinityd client retry
-// loop uses too.
-const maxRetryBackoff = backoff.DefaultCap
-
-// runCell executes one cell under the option's resilience policy: panics
-// inside the simulation become this cell's error (sibling cells keep
-// running), CellTimeout bounds the wall-clock run, and failures marked
-// ErrTransient retry up to CellRetries times with doubling backoff
-// (capped at maxRetryBackoff). When Options.Record is set, the returned
-// scenario is the successful attempt's recording (nil on failure or
-// when recording is off); each attempt records into a fresh recorder so
-// an abandoned timed-out goroutine can never corrupt a kept scenario.
-func (o Options) runCell(c cell) (workloads.Result, *trace.Scenario, error) {
-	var r workloads.Result
-	var err error
-	for attempt := 0; ; attempt++ {
-		rec := o.Record.NewRecorder(c.label)
-		r, err = o.runCellOnce(c, rec)
-		if err == nil {
-			return r, rec.Scenario(), nil
-		}
-		if attempt >= o.CellRetries || !errors.Is(err, ErrTransient) {
-			return r, nil, err
-		}
-		if d := backoff.Delay(o.RetryBackoff, maxRetryBackoff, attempt); d > 0 {
-			time.Sleep(d)
-		}
-	}
-}
-
-// runCellOnce is one guarded attempt: the cell body runs behind a panic
-// shield and, when CellTimeout is set, under a wall-clock deadline. A
-// timed-out cell's goroutine is abandoned (simulations have no
-// cancellation points); its result is discarded when it eventually
-// finishes.
-func (o Options) runCellOnce(c cell, rec *trace.Recorder) (workloads.Result, error) {
-	if o.CellTimeout <= 0 {
-		return c.runRecovered(rec)
-	}
-	type outcome struct {
-		r   workloads.Result
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		r, err := c.runRecovered(rec)
-		ch <- outcome{r, err}
-	}()
-	timer := time.NewTimer(o.CellTimeout)
-	defer timer.Stop()
-	select {
-	case out := <-ch:
-		return out.r, out.err
-	case <-timer.C:
-		return workloads.Result{}, fmt.Errorf("cell exceeded the %v wall-clock timeout", o.CellTimeout)
-	}
-}
-
-// runRecovered runs the cell body converting panics — typed data-plane
-// access failures (memsim.AccessError) and programmer-error invariants
-// alike — into errors, so one crashing simulation cannot take down the
-// whole harness process.
-func (c cell) runRecovered(tr *trace.Recorder) (r workloads.Result, err error) {
+// runCell runs one cell behind a panic shield: a panic inside the
+// simulation — a typed data-plane access failure (memsim.AccessError) or
+// a programmer-error invariant alike — becomes this cell's error, so one
+// crashing simulation cannot take down the whole harness process while
+// its siblings keep running. When Options.Record is set, the returned
+// scenario is the cell's recording (nil on failure or when recording is
+// off).
+func (o Options) runCell(c cell) (r workloads.Result, sc *trace.Scenario, err error) {
 	defer func() {
-		if rec := recover(); rec != nil {
-			if e, ok := rec.(error); ok {
+		if p := recover(); p != nil {
+			if e, ok := p.(error); ok {
 				err = fmt.Errorf("cell panicked: %w", e)
 			} else {
-				err = fmt.Errorf("cell panicked: %v", rec)
+				err = fmt.Errorf("cell panicked: %v", p)
 			}
 		}
 	}()
-	return c.run(tr)
+	rec := o.Record.NewRecorder(c.label)
+	if r, err = workloads.RunTraced(c.cfg, c.w, c.mode, rec); err != nil {
+		return r, nil, err
+	}
+	return r, rec.Scenario(), nil
 }

@@ -421,7 +421,7 @@ func (c *Collector) Reserve(n int) int {
 	return base
 }
 
-// NewRecorder builds a recorder for one cell attempt, or nil when the
+// NewRecorder builds a recorder for one cell, or nil when the
 // collector itself is nil (recording off).
 func (c *Collector) NewRecorder(label string) *Recorder {
 	if c == nil {

@@ -12,7 +12,7 @@ import (
 	"affinityalloc/internal/sys"
 )
 
-// IterTrace records one BFS/SSSP iteration's timing for Figs 17/18.
+// IterTrace records one BFS iteration's timing for Fig 18.
 type IterTrace struct {
 	Iter   int
 	Dir    graph.Direction

@@ -32,12 +32,6 @@ func (w SSSP) Name() string { return "sssp" }
 
 // Run implements Workload.
 func (w SSSP) Run(s *sys.System, mode sys.Mode) (Result, error) {
-	res, _, err := w.RunTraced(s, mode)
-	return res, err
-}
-
-// RunTraced is Run plus per-round timings.
-func (w SSSP) RunTraced(s *sys.System, mode sys.Mode) (Result, []IterTrace, error) {
 	g := w.G
 	gd, err := buildGraphData(s, mode, g, nil, graphSetup{
 		needQueue: true,
@@ -45,7 +39,7 @@ func (w SSSP) RunTraced(s *sys.System, mode sys.Mode) (Result, []IterTrace, erro
 		oracle:    w.Oracle,
 	})
 	if err != nil {
-		return Result{}, nil, err
+		return Result{}, err
 	}
 
 	src := w.Src
@@ -66,57 +60,46 @@ func (w SSSP) RunTraced(s *sys.System, mode sys.Mode) (Result, []IterTrace, erro
 		curS = gd.sq
 		nxtS, err = dstruct.NewSpatialQueue(s.RT, gd.prop, int64(s.NumCores()), 1)
 		if err != nil {
-			return Result{}, nil, err
+			return Result{}, err
 		}
 		s.PreloadArray(nxtS.Info())
 		s.PreloadArray(nxtS.TailsInfo())
 		if _, _, err := curS.Push(src); err != nil {
-			return Result{}, nil, err
+			return Result{}, err
 		}
 	} else {
 		curG = gd.gq
 		nxtG, err = dstruct.NewGlobalQueue(s.RT, n+1)
 		if err != nil {
-			return Result{}, nil, err
+			return Result{}, err
 		}
 		s.Mem.Preload(nxtG.TailAddr(), 8)
 		s.Mem.Preload(nxtG.SlotAddr(0), 4*(n+1))
 		if _, _, err := curG.Push(src); err != nil {
-			return Result{}, nil, err
+			return Result{}, err
 		}
 	}
 
-	frontier := int64(1)
-	var traces []IterTrace
 	var finish engine.Time
-
-	for round := 0; frontier > 0; round++ {
-		roundStart := finish
+	for frontier := int64(1); frontier > 0; {
 		if mode == sys.AffAlloc {
 			nxtS.Reset()
 		} else {
 			nxtG.Reset()
 		}
-		var active int64
-		active, finish, err = w.relaxRound(s, gd, mode, dist, inNext, curG, nxtG, curS, nxtS, finish)
+		frontier, finish, err = w.relaxRound(s, gd, mode, dist, inNext, curG, nxtG, curS, nxtS, finish)
 		if err != nil {
-			return Result{}, nil, err
+			return Result{}, err
 		}
 		curG, nxtG = nxtG, curG
 		curS, nxtS = nxtS, curS
-		frontier = active
-		traces = append(traces, IterTrace{
-			Iter: round, Dir: graph.Push,
-			Start: roundStart, End: finish, Active: active,
-		})
 	}
 
 	cs := newChecksum()
 	for v := int64(0); v < n; v++ {
 		cs.addU64(uint64(dist[v]))
 	}
-	res := Result{Name: w.Name(), Mode: mode, Metrics: s.Collect(finish), Checksum: cs.sum()}
-	return res, traces, nil
+	return Result{Name: w.Name(), Mode: mode, Metrics: s.Collect(finish), Checksum: cs.sum()}, nil
 }
 
 // relaxRound relaxes every out-edge of the current frontier.
