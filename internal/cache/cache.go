@@ -7,6 +7,7 @@ package cache
 
 import (
 	"fmt"
+	"sync"
 
 	"affinityalloc/internal/memsim"
 )
@@ -38,10 +39,12 @@ const brripPeriod = 32
 type SetAssoc struct {
 	sets, ways int
 	repl       Replacement
-	tags       []uint64 // sets*ways, line numbers
-	dirty      []bool
-	meta       []uint8 // LRU stack position or RRPV
-	fills      uint64  // drives the bimodal insertion counter
+	// store owns tags, dirty and meta until Release hands it back.
+	store *tagStore
+	tags  []uint64 // sets*ways, line numbers
+	dirty []bool
+	meta  []uint8 // LRU stack position or RRPV
+	fills uint64  // drives the bimodal insertion counter
 
 	Accesses uint64
 	Hits     uint64
@@ -59,15 +62,20 @@ func NewSetAssoc(sizeBytes, ways int, repl Replacement) (*SetAssoc, error) {
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d not a power of two", sets)
 	}
+	st := tagPool(sets * ways).Get().(*tagStore)
 	c := &SetAssoc{
 		sets: sets, ways: ways, repl: repl,
-		tags:  make([]uint64, sets*ways),
-		dirty: make([]bool, sets*ways),
-		meta:  make([]uint8, sets*ways),
+		store: st,
+		tags:  st.tags,
+		dirty: st.dirty,
+		meta:  st.meta,
 	}
+	// Storage may come back from a released array, so every entry is set
+	// here, recycled or not.
 	for i := range c.tags {
 		c.tags[i] = invalidTag
 	}
+	clear(c.dirty)
 	if repl == LRU {
 		// Give each way a distinct initial LRU stack position.
 		for s := 0; s < sets; s++ {
@@ -75,8 +83,42 @@ func NewSetAssoc(sizeBytes, ways int, repl Replacement) (*SetAssoc, error) {
 				c.meta[s*ways+w] = uint8(w)
 			}
 		}
+	} else {
+		clear(c.meta)
 	}
 	return c, nil
+}
+
+// tagStore is one array's tag, dirty and replacement storage, recycled
+// whole through a per-length pool.
+type tagStore struct {
+	tags  []uint64
+	dirty []bool
+	meta  []uint8
+}
+
+// tagPools holds one *sync.Pool of *tagStore per sets·ways.
+var tagPools sync.Map
+
+func tagPool(n int) *sync.Pool {
+	if p, ok := tagPools.Load(n); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := tagPools.LoadOrStore(n, &sync.Pool{New: func() any {
+		return &tagStore{tags: make([]uint64, n), dirty: make([]bool, n), meta: make([]uint8, n)}
+	}})
+	return p.(*sync.Pool)
+}
+
+// Release hands the array's storage back for another array of the same
+// size to reuse. The array must not be accessed afterwards; its counters
+// stay readable. Releasing twice does nothing.
+func (c *SetAssoc) Release() {
+	if c.store == nil {
+		return
+	}
+	tagPool(len(c.tags)).Put(c.store)
+	c.store, c.tags, c.dirty, c.meta = nil, nil, nil, nil
 }
 
 // MustSetAssoc is NewSetAssoc that panics on error.

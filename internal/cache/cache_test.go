@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -228,5 +229,56 @@ func TestMemSystemResetStatsKeepsContents(t *testing.T) {
 	}
 	if _, hit := m.Access(1000, base, false); !hit {
 		t.Error("contents lost by ResetStats")
+	}
+}
+
+// TestSetAssocRelease: an array built on storage another array released
+// behaves exactly like a fresh one, under either replacement policy,
+// and releasing twice puts the storage back once.
+func TestSetAssocRelease(t *testing.T) {
+	const size, ways = 8 * 3 * memsim.LineSize, 3 // 24 lines: no other test uses this length
+	trace := func(c *SetAssoc) []uint64 {
+		var out []uint64
+		for i := uint64(0); i < 400; i++ {
+			line := i * 7919 % 61
+			hit, victim, dirty := c.Access(line, i%3 == 0)
+			if hit {
+				victim = 1 << 62
+			}
+			if dirty {
+				victim |= 1 << 63
+			}
+			out = append(out, victim)
+		}
+		return append(out, c.Hits, c.Misses)
+	}
+	for _, repl := range []Replacement{LRU, BRRIP} {
+		want := trace(MustSetAssoc(size, ways, repl))
+		for _, prev := range []Replacement{LRU, BRRIP} {
+			used := MustSetAssoc(size, ways, prev)
+			trace(used)
+			used.Release()
+			if got := trace(MustSetAssoc(size, ways, repl)); !slices.Equal(got, want) {
+				t.Errorf("policy %d on storage a policy-%d array released differs from a fresh array", repl, prev)
+			}
+		}
+	}
+
+	pool := tagPool(size / memsim.LineSize)
+	drain := func() (n int) {
+		alloc := pool.New
+		defer func() { pool.New = alloc }()
+		pool.New = nil
+		for pool.Get() != nil {
+			n++
+		}
+		return n
+	}
+	drain()
+	c := MustSetAssoc(size, ways, LRU)
+	c.Release()
+	c.Release()
+	if n := drain(); n > 1 {
+		t.Errorf("releasing one array twice put %d stores into the pool", n)
 	}
 }

@@ -362,21 +362,18 @@ func (m *MemSystem) MigrationCostModel() (lineCycles, hopCycles float64) {
 	return float64(2*m.cfg.BankOccupancy + 2*m.cfg.L3HitLatency), float64(m.net.PerHopCycles())
 }
 
-// MaxBankFree reports the latest bank schedule horizon — a debugging aid
-// for locating the binding resource.
-func (m *MemSystem) MaxBankFree() engine.Time {
-	var t engine.Time
+// Release hands the bank tag arrays and the port and channel windows
+// back for the next machine to reuse. The memory system must not be
+// accessed afterwards; counters already published stay valid. Releasing
+// twice does nothing.
+func (m *MemSystem) Release() {
+	for _, b := range m.banks {
+		b.Release()
+	}
 	for _, s := range m.bankSrv {
-		t = engine.MaxTime(t, s.Horizon())
+		s.Release()
 	}
-	return t
-}
-
-// MaxDRAMFree reports the latest DRAM schedule horizon.
-func (m *MemSystem) MaxDRAMFree() engine.Time {
-	var t engine.Time
 	for _, s := range m.dramSrv {
-		t = engine.MaxTime(t, s.Horizon())
+		s.Release()
 	}
-	return t
 }

@@ -164,6 +164,14 @@ func (c *Core) Drained() engine.Time {
 	return t
 }
 
+// Release hands the core's L1 and L2 tag storage back for the next
+// machine to reuse. The core must not issue afterwards; its counters
+// stay readable. Releasing twice does nothing.
+func (c *Core) Release() {
+	c.l1.Release()
+	c.l2.Release()
+}
+
 // L1 exposes the L1 tag array for statistics.
 func (c *Core) L1() *cache.SetAssoc { return c.l1 }
 

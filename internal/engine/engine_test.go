@@ -122,17 +122,17 @@ func TestSchedulingInPastClamps(t *testing.T) {
 }
 
 // TestAdvanceNeverRewinds: the window only moves forward. Requests
-// behind it, however old, never slide it back, so the horizon is
+// behind it, however old, never slide it back, so the window base is
 // monotone over any sequence of reservations.
 func TestAdvanceNeverRewinds(t *testing.T) {
 	srv := NewServer(1, 4, 16)
 	rng := rand.New(rand.NewSource(1))
-	prev := srv.Horizon()
+	prev := srv.base
 	for i := 0; i < 2000; i++ {
 		srv.Reserve(Time(rng.Intn(20_000)), 1+rng.Intn(8))
-		h := srv.Horizon()
+		h := srv.base
 		if h < prev {
-			t.Fatalf("reservation %d moved the horizon back from %d to %d", i, prev, h)
+			t.Fatalf("reservation %d moved the window base back from %d to %d", i, prev, h)
 		}
 		prev = h
 	}

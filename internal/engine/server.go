@@ -1,5 +1,11 @@
 package engine
 
+import (
+	"fmt"
+	"math"
+	"sync"
+)
+
 // Server models a pipelined shared resource with fixed capacity per
 // cycle — an L3 bank port, a NoC link, a DRAM channel, a compute thread
 // pool. Capacity is tracked in coarse time buckets over a sliding window,
@@ -12,15 +18,29 @@ package engine
 // timestamp, and it must still be able to claim the idle capacity in
 // between. A scalar would serialize them in simulation order and
 // propagate phantom queueing delays across the whole machine.
+//
+// The window is a circular buffer of per-bucket counts, taken from a
+// pool on the first Reserve: most of a machine's servers are never
+// touched in a run, and those cost no window at all.
 type Server struct {
 	width     Time // cycles per bucket
 	perBucket int  // capacity units per bucket
-	ring      []int
-	base      Time // time of ring[0]
+	buckets   int  // window length in buckets
+	// win holds the window's storage while the server owns it; ring is
+	// *win. Both are nil before the first Reserve. After Release win is
+	// nil and ring is empty, so a later Reserve panics instead of quietly
+	// starting a new schedule.
+	win  *[]uint16
+	ring []uint16
+	head int  // ring index of the bucket that starts at base
+	base Time // time of the window's first bucket
 }
 
 // NewServer builds a resource with unitsPerCycle capacity, bucketed at
-// width cycles, remembering windowBuckets of schedule.
+// width cycles, remembering windowBuckets of schedule. A bucket's
+// capacity, unitsPerCycle·width, must fit the window's uint16 counts;
+// callers bound it (sys.Config.Validate caps the stream engine's
+// threads), so overflow here is a programmer error and panics.
 func NewServer(unitsPerCycle int, width Time, windowBuckets int) *Server {
 	// Capacity below one unit/cycle would make perBucket zero and any
 	// Reserve spin forever hunting for free capacity; clamp like width
@@ -34,31 +54,63 @@ func NewServer(unitsPerCycle int, width Time, windowBuckets int) *Server {
 	if windowBuckets < 4 {
 		windowBuckets = 4
 	}
+	if width > math.MaxUint16 || unitsPerCycle > math.MaxUint16/int(width) {
+		panic(fmt.Sprintf("engine: %d units/cycle × %d-cycle buckets overflows a window count (programmer error)", unitsPerCycle, width))
+	}
 	return &Server{
 		width:     width,
 		perBucket: unitsPerCycle * int(width),
-		ring:      make([]int, windowBuckets),
+		buckets:   windowBuckets,
 	}
+}
+
+// windowPools holds one *sync.Pool of *[]uint16 per window length.
+var windowPools sync.Map
+
+func windowPool(n int) *sync.Pool {
+	if p, ok := windowPools.Load(n); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := windowPools.LoadOrStore(n, &sync.Pool{New: func() any {
+		w := make([]uint16, n)
+		return &w
+	}})
+	return p.(*sync.Pool)
+}
+
+// Release hands the server's window back for another server to reuse.
+// The server must not reserve afterwards. Releasing twice, or releasing
+// a server that never reserved anything, puts nothing into the pool.
+func (s *Server) Release() {
+	if s.win != nil {
+		windowPool(s.buckets).Put(s.win)
+		s.win = nil
+	}
+	s.ring = []uint16{}
 }
 
 // slide advances the window so bucket index b (relative to base) fits,
 // dropping the oldest schedule.
 func (s *Server) slide(b int) int {
-	n := len(s.ring)
+	n := s.buckets
 	// Keep the target at 3/4 of the window so there is room ahead.
 	shift := b - (3*n)/4
 	if shift <= 0 {
 		return b
 	}
 	if shift >= n {
-		for i := range s.ring {
-			s.ring[i] = 0
-		}
+		clear(s.ring) // every rotation of an empty window is the same window
 	} else {
-		copy(s.ring, s.ring[shift:])
-		for i := n - shift; i < n; i++ {
-			s.ring[i] = 0
+		// Clear the dropped buckets; they become the window's tail.
+		end := s.head + shift
+		if end < n {
+			clear(s.ring[s.head:end])
+		} else {
+			clear(s.ring[s.head:])
+			end -= n
+			clear(s.ring[:end])
 		}
+		s.head = end
 	}
 	s.base += Time(shift) * s.width
 	return b - shift
@@ -71,26 +123,35 @@ func (s *Server) Reserve(at Time, units int) Time {
 	if units <= 0 {
 		return at
 	}
+	if s.ring == nil {
+		s.win = windowPool(s.buckets).Get().(*[]uint16)
+		s.ring = *s.win
+		clear(s.ring)
+	}
 	if at < s.base {
 		at = s.base // older than the window: clamp (the past is full)
 	}
 	b := int((at - s.base) / s.width)
-	if b >= len(s.ring) {
+	if b >= s.buckets {
 		b = s.slide(b)
 	}
 	start := Time(0)
 	first := true
 	for units > 0 {
-		if b >= len(s.ring) {
+		if b >= s.buckets {
 			b = s.slide(b)
 		}
-		free := s.perBucket - s.ring[b]
+		i := s.head + b
+		if i >= s.buckets {
+			i -= s.buckets
+		}
+		free := s.perBucket - int(s.ring[i])
 		if free > 0 {
 			take := free
 			if take > units {
 				take = units
 			}
-			s.ring[b] += take
+			s.ring[i] += uint16(take)
 			units -= take
 			if first {
 				first = false
@@ -103,10 +164,4 @@ func (s *Server) Reserve(at Time, units int) Time {
 		b++
 	}
 	return start
-}
-
-// Horizon returns the end of the currently remembered schedule — a
-// debugging aid.
-func (s *Server) Horizon() Time {
-	return s.base + Time(len(s.ring))*s.width
 }

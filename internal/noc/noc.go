@@ -287,11 +287,11 @@ func (n *Network) ResetStats() {
 	}
 }
 
-// MaxLinkFree reports the latest link schedule horizon — a debugging aid.
-func (n *Network) MaxLinkFree() engine.Time {
-	var t engine.Time
+// Release hands the link windows back for the next network to reuse.
+// The network must not send afterwards; its counters stay readable.
+// Releasing twice does nothing.
+func (n *Network) Release() {
 	for _, s := range n.linkSrv {
-		t = engine.MaxTime(t, s.Horizon())
+		s.Release()
 	}
-	return t
 }

@@ -281,14 +281,13 @@ func (e *Engine) PublishTelemetry(r *telemetry.Registry) {
 	}
 }
 
-// MaxComputeFree reports the latest compute schedule horizon — a
-// debugging aid.
-func (e *Engine) MaxComputeFree() engine.Time {
-	var t engine.Time
+// Release hands the compute-thread windows back for the next engine to
+// reuse. The engine must not schedule afterwards; its counters stay
+// readable. Releasing twice does nothing.
+func (e *Engine) Release() {
 	for _, s := range e.computeSrv {
-		t = engine.MaxTime(t, s.Horizon())
+		s.Release()
 	}
-	return t
 }
 
 // OpWindow bounds a stream's outstanding indirect operations — the

@@ -36,12 +36,16 @@ func (m Mode) String() string {
 // Modes lists the three configurations in presentation order.
 var Modes = []Mode{InCore, NearL3, AffAlloc}
 
+// modeSeparators strips the separators ParseMode ignores. A Replacer is
+// safe for concurrent use, so one serves every call.
+var modeSeparators = strings.NewReplacer("-", "", "_", "", " ", "")
+
 // ParseMode converts a mode name back to a Mode, round-tripping with
 // String: ParseMode(m.String()) == m for every mode. Matching is
 // case-insensitive and ignores '-'/'_' separators, so CLI spellings like
 // "incore", "near_l3" and "Aff-Alloc" all parse.
 func ParseMode(v string) (Mode, error) {
-	key := strings.NewReplacer("-", "", "_", "", " ", "").Replace(strings.ToLower(v))
+	key := modeSeparators.Replace(strings.ToLower(v))
 	switch key {
 	case "incore":
 		return InCore, nil

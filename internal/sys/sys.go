@@ -68,7 +68,8 @@ func DefaultConfig() Config {
 
 // System is one assembled machine instance. Build a fresh System per
 // workload run; state (caches, link schedules) is intentionally carried
-// within a run and discarded across runs.
+// within a run and discarded across runs. Release recycles a finished
+// System's storage into the next one New builds.
 type System struct {
 	Cfg   Config
 	Mesh  *topo.Mesh
@@ -189,6 +190,21 @@ func MustNew(cfg Config) *System {
 		panic(err)
 	}
 	return s
+}
+
+// Release hands the machine's large storage — every tag array and
+// every capacity-calendar window — back for the next System to reuse.
+// Call it once a run's results are collected: the System must not run
+// afterwards, though metrics already collected stay valid. Releasing
+// twice does nothing, and a System that is never released is simply
+// garbage collected.
+func (s *System) Release() {
+	s.Mem.Release()
+	s.Net.Release()
+	s.SE.Release()
+	for _, c := range s.Cores {
+		c.Release()
+	}
 }
 
 // NumCores returns the core count (== banks).

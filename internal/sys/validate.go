@@ -1,12 +1,23 @@
 package sys
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"affinityalloc/internal/core"
 	"affinityalloc/internal/memsim"
 	"affinityalloc/internal/topo"
 )
+
+// maxSMTThreads bounds Stream.SMTThreads: the stream engine schedules
+// each bank's threads on a capacity calendar with 8-cycle buckets, whose
+// per-bucket counts are uint16, so 8·SMTThreads units must fit one.
+const maxSMTThreads = math.MaxUint16 / 8
+
+// errTooManySMTThreads rejects a stream engine whose compute capacity a
+// calendar window cannot count.
+var errTooManySMTThreads = errors.New("sys: stream SMTThreads above 8191: 8·SMTThreads units a bucket must fit a uint16 window count (Table 2 uses 2)")
 
 // Validate checks a configuration before assembly and returns an
 // actionable error for the first problem found. Zero-valued NoC and
@@ -59,6 +70,9 @@ func (c Config) Validate() error {
 	}
 	if c.Stream.SIMDLanes < 0 || c.Stream.SMTThreads < 0 {
 		return fmt.Errorf("sys: stream SIMDLanes/SMTThreads %d/%d cannot be negative (zero selects Table-2 defaults)", c.Stream.SIMDLanes, c.Stream.SMTThreads)
+	}
+	if c.Stream.SMTThreads > maxSMTThreads {
+		return fmt.Errorf("%w: got %d", errTooManySMTThreads, c.Stream.SMTThreads)
 	}
 	if c.Mem.DefaultInterleave <= 0 {
 		return fmt.Errorf("sys: NUCA interleave %d bytes: must be positive (Table 2 uses 1024)", c.Mem.DefaultInterleave)

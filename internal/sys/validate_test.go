@@ -1,6 +1,7 @@
 package sys
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -31,6 +32,7 @@ func TestConfigValidate(t *testing.T) {
 		{"negative H", func(c *Config) { c.Policy.H = -1 }, "H="},
 		{"negative link bytes", func(c *Config) { c.NoC.LinkBytes = -1 }, "NoC"},
 		{"negative SIMD lanes", func(c *Config) { c.Stream.SIMDLanes = -2 }, "stream"},
+		{"SMT threads overflow a window count", func(c *Config) { c.Stream.SMTThreads = maxSMTThreads + 1 }, "SMTThreads"},
 		{"zero interleave", func(c *Config) { c.Mem.DefaultInterleave = 0 }, "interleave"},
 	}
 	for _, tc := range cases {
@@ -51,6 +53,15 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("default config rejected: %v", err)
 	}
+	cfg := DefaultConfig()
+	cfg.Stream.SMTThreads = maxSMTThreads + 1
+	if err := cfg.Validate(); !errors.Is(err, errTooManySMTThreads) {
+		t.Errorf("SMTThreads=%d: Validate returned %v, want errTooManySMTThreads", cfg.Stream.SMTThreads, err)
+	}
+	cfg.Stream.SMTThreads = maxSMTThreads
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("SMTThreads=%d (the largest a window counts) rejected: %v", cfg.Stream.SMTThreads, err)
+	}
 }
 
 func TestParseModeRoundTrip(t *testing.T) {
@@ -70,6 +81,20 @@ func TestParseModeRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseMode("warp-drive"); err == nil {
 		t.Error("ParseMode accepted an unknown mode")
+	}
+}
+
+// TestParseModeAllocs pins that ParseMode does not build its separator
+// Replacer per call; it runs on every wire placement that names a mode
+// and on every replayed journal record.
+func TestParseModeAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ParseMode("Aff-Alloc"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("ParseMode(%q) allocated %.0f times, want at most 3", "Aff-Alloc", allocs)
 	}
 }
 

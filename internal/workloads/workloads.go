@@ -46,7 +46,9 @@ func Run(cfg sys.Config, w Workload, mode sys.Mode) (Result, error) {
 // RunTraced is Run with an optional trace recorder attached to the
 // system's observer hooks before the workload executes (nil records
 // nothing). Observation is outcome-only, so a recording run returns
-// byte-identical Results to a direct run.
+// byte-identical Results to a direct run. The system is released once
+// the Result is built: a Result holds copies of every counter, so the
+// next run can reuse the machine's storage.
 func RunTraced(cfg sys.Config, w Workload, mode sys.Mode, rec *trace.Recorder) (Result, error) {
 	s, err := sys.New(cfg)
 	if err != nil {
@@ -56,6 +58,7 @@ func RunTraced(cfg sys.Config, w Workload, mode sys.Mode, rec *trace.Recorder) (
 	rec.Attach(s)
 	r, err := w.Run(s, mode)
 	rec.Finish(uint64(r.Metrics.Cycles))
+	s.Release()
 	return r, err
 }
 
