@@ -40,9 +40,6 @@ type VecAdd struct {
 	ForceDelta int
 }
 
-// DefaultVecAdd returns the Fig-4 microbenchmark size.
-func DefaultVecAdd() VecAdd { return VecAdd{N: 1 << 20, ForceDelta: -1} }
-
 // Name implements Workload.
 func (w VecAdd) Name() string { return "vecadd" }
 
@@ -107,13 +104,6 @@ type Pathfinder struct {
 	Cols  int64
 	Steps int
 }
-
-// DefaultPathfinder returns a host-scaled instance (Table 3: 1.5M
-// entries, 8 steps at paper scale).
-func DefaultPathfinder() Pathfinder { return Pathfinder{Cols: 192 * 1024, Steps: 8} }
-
-// PaperPathfinder returns the published size.
-func PaperPathfinder() Pathfinder { return Pathfinder{Cols: 1536 * 1024, Steps: 8} }
 
 // Name implements Workload.
 func (w Pathfinder) Name() string { return "pathfinder" }
@@ -198,17 +188,6 @@ func NewHotspot(rows, cols int64, iters int) Hotspot {
 	return Hotspot{stencil2D{rows: rows, cols: cols, iters: iters}}
 }
 
-// DefaultHotspot returns a host-scaled instance (Table 3: 2k x 1k, 8
-// iterations at paper scale).
-func DefaultHotspot() Hotspot {
-	return Hotspot{stencil2D{rows: 512, cols: 1024, iters: 8}}
-}
-
-// PaperHotspot returns the published size.
-func PaperHotspot() Hotspot {
-	return Hotspot{stencil2D{rows: 2048, cols: 1024, iters: 8}}
-}
-
 // Name implements Workload.
 func (w Hotspot) Name() string { return "hotspot" }
 
@@ -271,13 +250,6 @@ type Srad struct{ stencil2D }
 func NewSrad(rows, cols int64, iters int) Srad {
 	return Srad{stencil2D{rows: rows, cols: cols, iters: iters}}
 }
-
-// DefaultSrad returns a host-scaled instance (Table 3: 1k x 2k, 8
-// iterations at paper scale).
-func DefaultSrad() Srad { return Srad{stencil2D{rows: 256, cols: 1024, iters: 8}} }
-
-// PaperSrad returns the published size.
-func PaperSrad() Srad { return Srad{stencil2D{rows: 1024, cols: 2048, iters: 8}} }
 
 // Name implements Workload.
 func (w Srad) Name() string { return "srad" }
@@ -361,17 +333,6 @@ func (w Srad) Run(s *sys.System, mode sys.Mode) (Result, error) {
 type Hotspot3D struct {
 	Rows, Cols, Layers int64
 	Iters              int
-}
-
-// DefaultHotspot3D returns a host-scaled instance (Table 3: 256 x 1k x 8,
-// 8 iterations at paper scale).
-func DefaultHotspot3D() Hotspot3D {
-	return Hotspot3D{Rows: 128, Cols: 512, Layers: 8, Iters: 8}
-}
-
-// PaperHotspot3D returns the published size.
-func PaperHotspot3D() Hotspot3D {
-	return Hotspot3D{Rows: 256, Cols: 1024, Layers: 8, Iters: 8}
 }
 
 // Name implements Workload.

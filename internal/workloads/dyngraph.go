@@ -27,11 +27,6 @@ type DynGraph struct {
 	UpdatesPerBatch int
 }
 
-// DefaultDynGraph returns a host-scaled instance.
-func DefaultDynGraph() DynGraph {
-	return DynGraph{G: graph.Kronecker(13, 10, 42), Batches: 4, UpdatesPerBatch: 4096}
-}
-
 // Name implements Workload.
 func (w DynGraph) Name() string { return "dyn_graph" }
 
@@ -78,7 +73,7 @@ func (w DynGraph) Run(s *sys.System, mode sys.Mode) (Result, error) {
 		_ = nC
 	}
 	for i := int64(0); i < n; i += 101 {
-		cs.addU64(uint64(float32bitsOf(ranks[i])))
+		cs.addF32(float32(ranks[i]))
 	}
 	return Result{Name: w.Name(), Mode: mode, Metrics: s.Collect(finish), Checksum: cs.sum()}, nil
 }

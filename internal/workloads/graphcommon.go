@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"fmt"
 	"sort"
 
 	"affinityalloc/internal/core"
@@ -21,37 +20,49 @@ import (
 //     target (§5.3), per-vertex head pointers aligned to the partition,
 //     and the spatially distributed queue (Fig 9).
 type graphData struct {
-	mode sys.Mode
-	g    *graph.Graph
-	gt   *graph.Graph
-
 	// prop is the indirect-access target (levels, distances, ranks).
 	prop *core.ArrayInfo
 	// prop2 is a second elementwise property (e.g. PageRank sums).
 	prop2 *core.ArrayInfo
 
-	// Original CSR (In-Core / Near-L3).
-	idx, edges     *core.ArrayInfo
-	idxT, edgesT   *core.ArrayInfo
-	weightsPerEdge int // bytes per edge for traffic accounting
-
-	// Linked CSR (Aff-Alloc).
-	lcsr, lcsrT *dstruct.LinkedCSR
-	heads       *core.ArrayInfo // per-vertex chain head pointers
-	headsT      *core.ArrayInfo // transpose chain head pointers
+	// out holds g's out-edges; in holds the transpose's, which are g's
+	// in-edges (built only for pull traversals).
+	out, in        edgeDir
+	weightsPerEdge int // bytes per CSR edge for traffic accounting
 
 	// Work queues.
 	gq *dstruct.GlobalQueue
 	sq *dstruct.SpatialQueue
 
-	// edgeMap / edgeMapT, when set, override the CSR edge-slot address
-	// mapping — the Fig-6 chunked-placement study's hook.
-	edgeMap  func(i int64) memsim.Addr
-	edgeMapT func(i int64) memsim.Addr
 	// idealInd eliminates indirect-request traffic entirely (Fig 6's
 	// "Ind-Ideal"): every indirect operation issues from its target's
 	// own bank.
 	idealInd bool
+}
+
+// edgeDir is one direction of the graph in simulated memory: the CSR
+// under In-Core / Near-L3, the linked CSR under Aff-Alloc.
+type edgeDir struct {
+	g *graph.Graph
+	// head is the per-vertex array read before a vertex's edges: the CSR
+	// index, or the linked-CSR chain heads.
+	head *core.ArrayInfo
+
+	// CSR edge array. edgeSlot, when set, overrides the edge-slot
+	// address mapping — the Fig-6 chunked-placement study's hook.
+	edges    *core.ArrayInfo
+	edgeSlot func(i int64) memsim.Addr
+
+	lcsr *dstruct.LinkedCSR
+}
+
+// edgeAddr returns the simulated address of CSR edge slot i (including
+// its weight bytes).
+func (d *edgeDir) edgeAddr(i int64) memsim.Addr {
+	if d.edgeSlot != nil {
+		return d.edgeSlot(i)
+	}
+	return d.edges.ElemAddr(i)
 }
 
 // EdgeOracle configures the Fig-6 idealized chunked-CSR placement study:
@@ -65,13 +76,11 @@ type EdgeOracle struct {
 
 // graphSetup describes what a graph workload needs materialized.
 type graphSetup struct {
-	needPull   bool // transpose structures
-	needQueue  bool // frontier queue
-	needProp2  bool // second property array
-	propElem   int  // property element size in bytes
-	prop2Elem  int
-	queueSlack int64 // extra queue capacity factor (sssp re-pushes), >= 1
-	oracle     *EdgeOracle
+	needPull  bool // transpose structures
+	needQueue bool // frontier queue
+	propElem  int  // property element size in bytes
+	prop2Elem int  // second property's element size; 0 allocates none
+	oracle    *EdgeOracle
 	// oracleTargetProp2 points the oracle's placement at prop2 (the
 	// array push-PageRank's indirect ops actually target).
 	oracleTargetProp2 bool
@@ -80,72 +89,51 @@ type graphSetup struct {
 }
 
 func buildGraphData(s *sys.System, mode sys.Mode, g, gt *graph.Graph, setup graphSetup) (*graphData, error) {
-	if setup.propElem == 0 {
-		setup.propElem = 4
-	}
-	if setup.prop2Elem == 0 {
-		setup.prop2Elem = setup.propElem
-	}
-	if setup.queueSlack < 1 {
-		setup.queueSlack = 1
-	}
-	gd := &graphData{mode: mode, g: g, gt: gt}
+	gd := &graphData{out: edgeDir{g: g}, in: edgeDir{g: gt}}
 	n := int64(g.N)
 
 	// Property arrays: partitioned under Aff-Alloc so partition p lives
 	// on bank p (Fig 9), oblivious otherwise.
 	var err error
-	gd.prop, err = s.Alloc(mode, core.AffineSpec{ElemSize: setup.propElem, NumElem: n, Partition: true})
-	if err != nil {
+	if gd.prop, err = s.Alloc(mode, core.AffineSpec{ElemSize: setup.propElem, NumElem: n, Partition: true}); err != nil {
 		return nil, err
 	}
 	s.PreloadArray(gd.prop)
-	if setup.needProp2 {
+	if setup.prop2Elem > 0 {
 		spec := core.AffineSpec{ElemSize: setup.prop2Elem, NumElem: n}
 		if mode == sys.AffAlloc {
 			spec.AlignTo = gd.prop.Base
 		}
-		gd.prop2, err = s.Alloc(mode, spec)
-		if err != nil {
+		if gd.prop2, err = s.Alloc(mode, spec); err != nil {
 			return nil, err
 		}
 		s.PreloadArray(gd.prop2)
 	}
 
+	dirs := []*edgeDir{&gd.out}
+	if setup.needPull {
+		dirs = append(dirs, &gd.in)
+	}
 	if mode == sys.AffAlloc {
 		nodeBytes := setup.nodeBytes
 		if nodeBytes == 0 {
 			nodeBytes = dstruct.CSRNodeBytes
 		}
 		alloc := dstruct.Alloc{RT: s.RT, Affinity: true}
-		gd.lcsr, err = dstruct.BuildLinkedCSRSized(alloc, g, gd.prop, nodeBytes)
-		if err != nil {
-			return nil, err
-		}
-		preloadLinkedCSR(s, gd.lcsr)
-		if setup.needPull {
-			gd.lcsrT, err = dstruct.BuildLinkedCSRSized(alloc, gt, gd.prop, nodeBytes)
-			if err != nil {
+		for _, d := range dirs {
+			if d.lcsr, err = dstruct.BuildLinkedCSRSized(alloc, d.g, gd.prop, nodeBytes); err != nil {
 				return nil, err
 			}
-			preloadLinkedCSR(s, gd.lcsrT)
+			preloadLinkedCSR(s, d.lcsr)
 		}
-		headSpec := core.AffineSpec{ElemSize: 8, NumElem: n, AlignTo: gd.prop.Base}
-		gd.heads, err = s.RT.AllocAffine(headSpec)
-		if err != nil {
-			return nil, err
-		}
-		s.PreloadArray(gd.heads)
-		if setup.needPull {
-			gd.headsT, err = s.RT.AllocAffine(headSpec)
-			if err != nil {
+		for _, d := range dirs {
+			if d.head, err = s.RT.AllocAffine(core.AffineSpec{ElemSize: 8, NumElem: n, AlignTo: gd.prop.Base}); err != nil {
 				return nil, err
 			}
-			s.PreloadArray(gd.headsT)
+			s.PreloadArray(d.head)
 		}
 		if setup.needQueue {
-			gd.sq, err = dstruct.NewSpatialQueue(s.RT, gd.prop, int64(s.NumCores()), setup.queueSlack)
-			if err != nil {
+			if gd.sq, err = dstruct.NewSpatialQueue(s.RT, gd.prop, int64(s.NumCores()), 1); err != nil {
 				return nil, err
 			}
 			s.PreloadArray(gd.sq.Info())
@@ -155,62 +143,53 @@ func buildGraphData(s *sys.System, mode sys.Mode, g, gt *graph.Graph, setup grap
 	}
 
 	// Conventional CSR.
-	perEdge := 4
+	gd.weightsPerEdge = 4
 	if g.Weights != nil {
-		perEdge = 8
+		gd.weightsPerEdge = 8
 	}
-	gd.weightsPerEdge = perEdge
-	gd.idx, err = s.Alloc(mode, core.AffineSpec{ElemSize: 8, NumElem: n + 1})
-	if err != nil {
-		return nil, err
-	}
-	gd.edges, err = s.Alloc(mode, core.AffineSpec{ElemSize: perEdge, NumElem: g.NumEdges()})
-	if err != nil {
-		return nil, err
-	}
-	s.PreloadArray(gd.idx)
-	s.PreloadArray(gd.edges)
-	if setup.needPull {
-		gd.idxT, err = s.Alloc(mode, core.AffineSpec{ElemSize: 8, NumElem: n + 1})
-		if err != nil {
+	for _, d := range dirs {
+		if d.head, err = s.Alloc(mode, core.AffineSpec{ElemSize: 8, NumElem: n + 1}); err != nil {
 			return nil, err
 		}
-		gd.edgesT, err = s.Alloc(mode, core.AffineSpec{ElemSize: perEdge, NumElem: gt.NumEdges()})
-		if err != nil {
+		if d.edges, err = s.Alloc(mode, core.AffineSpec{ElemSize: gd.weightsPerEdge, NumElem: d.g.NumEdges()}); err != nil {
 			return nil, err
 		}
-		s.PreloadArray(gd.idxT)
-		s.PreloadArray(gd.edgesT)
+		s.PreloadArray(d.head)
+		s.PreloadArray(d.edges)
 	}
 	if setup.needQueue {
-		gd.gq, err = dstruct.NewGlobalQueue(s.RT, n*setup.queueSlack+1)
-		if err != nil {
+		if gd.gq, err = newGlobalQueue(s, n+1); err != nil {
 			return nil, err
 		}
-		s.Mem.Preload(gd.gq.TailAddr(), 8)
-		s.Mem.Preload(gd.gq.SlotAddr(0), 4*(n*setup.queueSlack+1))
 	}
-	if setup.oracle != nil {
-		target := gd.prop
-		if setup.oracleTargetProp2 {
-			target = gd.prop2
-		}
-		if setup.oracle.ChunkBytes == 0 {
-			gd.idealInd = true
-		} else {
-			gd.edgeMap, err = placeChunkedEdges(s, g.Edges, target, setup.oracle.ChunkBytes, perEdge)
-			if err != nil {
-				return nil, err
+	if setup.oracle != nil && setup.oracle.ChunkBytes == 0 {
+		gd.idealInd = true
+	} else if setup.oracle != nil {
+		for _, d := range dirs {
+			// Out-edges of push-PageRank target prop2; every other
+			// traversal's edges target prop.
+			target := gd.prop
+			if d == &gd.out && setup.oracleTargetProp2 {
+				target = gd.prop2
 			}
-			if setup.needPull {
-				gd.edgeMapT, err = placeChunkedEdges(s, gt.Edges, gd.prop, setup.oracle.ChunkBytes, perEdge)
-				if err != nil {
-					return nil, err
-				}
+			if d.edgeSlot, err = placeChunkedEdges(s, d.g.Edges, target, setup.oracle.ChunkBytes, gd.weightsPerEdge); err != nil {
+				return nil, err
 			}
 		}
 	}
 	return gd, nil
+}
+
+// newGlobalQueue allocates a global queue of capacity slots with its tail
+// and slots resident in the cache hierarchy.
+func newGlobalQueue(s *sys.System, capacity int64) (*dstruct.GlobalQueue, error) {
+	q, err := dstruct.NewGlobalQueue(s.RT, capacity)
+	if err != nil {
+		return nil, err
+	}
+	s.Mem.Preload(q.TailAddr(), 8)
+	s.Mem.Preload(q.SlotAddr(0), 4*capacity)
+	return q, nil
 }
 
 // placeChunkedEdges implements the Fig-6 oracle: break the edge array
@@ -305,57 +284,4 @@ func preloadLinkedCSR(s *sys.System, lc *dstruct.LinkedCSR) {
 			s.Mem.Preload(node.Addr, int64(lc.NodeBytes()))
 		}
 	}
-}
-
-// edgeAddr returns the simulated address of edge slot i in a CSR edge
-// array (including its weight bytes).
-func (gd *graphData) edgeAddr(i int64) memsim.Addr {
-	if gd.edgeMap != nil {
-		return gd.edgeMap(i)
-	}
-	return gd.edges.ElemAddr(i)
-}
-
-// edgeAddrT is edgeAddr for the transpose.
-func (gd *graphData) edgeAddrT(i int64) memsim.Addr {
-	if gd.edgeMapT != nil {
-		return gd.edgeMapT(i)
-	}
-	return gd.edgesT.ElemAddr(i)
-}
-
-// indirectFrom returns the bank an indirect operation on target address
-// va issues from: the edge stream's bank normally, the target's own bank
-// under the Ind-Ideal oracle.
-func (gd *graphData) indirectFrom(s *sys.System, eBank int, va memsim.Addr) int {
-	if gd.idealInd {
-		return s.Mem.BankOf(va)
-	}
-	return eBank
-}
-
-// headAddr returns the address holding vertex u's edge-list metadata:
-// the linked-CSR head pointer under Aff-Alloc, the CSR index entry
-// otherwise.
-func (gd *graphData) headAddr(u int32) memsim.Addr {
-	if gd.mode == sys.AffAlloc {
-		return gd.heads.ElemAddr(int64(u))
-	}
-	return gd.idx.ElemAddr(int64(u))
-}
-
-// headAddrT is headAddr for the transpose structures.
-func (gd *graphData) headAddrT(v int32) memsim.Addr {
-	if gd.mode == sys.AffAlloc {
-		return gd.headsT.ElemAddr(int64(v))
-	}
-	return gd.idxT.ElemAddr(int64(v))
-}
-
-// validateMode guards against double setup.
-func (gd *graphData) validateMode(mode sys.Mode) error {
-	if gd.mode != mode {
-		return fmt.Errorf("workloads: graph data built for %v used under %v", gd.mode, mode)
-	}
-	return nil
 }

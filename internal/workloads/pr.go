@@ -1,13 +1,8 @@
 package workloads
 
 import (
-	"math"
-
-	"affinityalloc/internal/cpu"
 	"affinityalloc/internal/engine"
 	"affinityalloc/internal/graph"
-	"affinityalloc/internal/memsim"
-	"affinityalloc/internal/stream"
 	"affinityalloc/internal/sys"
 )
 
@@ -28,13 +23,6 @@ type PageRank struct {
 	Best bool
 	// Oracle enables the Fig-6 chunked-placement study (CSR modes only).
 	Oracle *EdgeOracle
-}
-
-// DefaultPageRank returns a host-scaled pr on a Kronecker graph
-// (Table 3: 128k nodes / 4M edges at paper scale).
-func DefaultPageRank(dir graph.Direction) PageRank {
-	g := graph.Kronecker(15, 16, 42)
-	return PageRank{G: g, GT: g.Transpose(), Iters: 3, Dir: dir}
 }
 
 // Name implements Workload.
@@ -60,7 +48,6 @@ func (w PageRank) Run(s *sys.System, mode sys.Mode) (Result, error) {
 	}
 	gd, err := buildGraphData(s, mode, w.G, w.GT, graphSetup{
 		needPull:          dir == graph.Pull,
-		needProp2:         true,
 		propElem:          8,
 		prop2Elem:         8,
 		oracle:            w.Oracle,
@@ -79,10 +66,8 @@ func (w PageRank) Run(s *sys.System, mode sys.Mode) (Result, error) {
 
 	var finish engine.Time
 	for it := 0; it < w.Iters; it++ {
-		if dir == graph.Push {
-			finish = w.pushIter(s, gd, mode, scores, sums, finish)
-		} else {
-			finish = w.pullIter(s, gd, mode, scores, sums, finish)
+		if finish, err = w.iter(s, gd, mode, dir, scores, sums, finish); err != nil {
+			return Result{}, err
 		}
 		// Damped update pass: scores = base + d*sums; sums = 0.
 		base := (1 - prDamping) / float64(n)
@@ -96,261 +81,35 @@ func (w PageRank) Run(s *sys.System, mode sys.Mode) (Result, error) {
 
 	cs := newChecksum()
 	for i := 0; i < n; i += 97 {
-		cs.addU64(uint64(float32bitsOf(scores[i])))
+		cs.addF32(float32(scores[i]))
 	}
 	return Result{Name: w.Name(), Mode: mode, Metrics: s.Collect(finish), Checksum: cs.sum()}, nil
 }
 
-func float32bitsOf(v float64) uint32 {
-	return math.Float32bits(float32(v))
-}
+// iter runs one iteration's edge phase. Push scatters each vertex's
+// contribution to its out-neighbors with remote atomic adds; pull
+// gathers each vertex's in-neighbors' contributions with indirect reads
+// and a local reduction.
+func (w PageRank) iter(s *sys.System, gd *graphData, mode sys.Mode, dir graph.Direction, scores, sums []float64,
+	start engine.Time) (engine.Time, error) {
 
-// pushIter scatters each vertex's contribution to its out-neighbors with
-// remote atomic adds.
-func (w PageRank) pushIter(s *sys.System, gd *graphData, mode sys.Mode, scores, sums []float64, start engine.Time) engine.Time {
 	g := w.G
-	nC := s.NumCores()
-	finish := start
-
-	apply := func(u int32, v int32) {
-		deg := g.Degree(u)
-		sums[v] += scores[u] / float64(deg)
-	}
-
-	// Vertices are distributed dynamically (OpenMP dynamic scheduling):
-	// hub vertices cluster at low ids in R-MAT graphs and would
-	// otherwise pile onto one core.
-	if mode == sys.InCore {
-		var cursor int32
-		for c := 0; c < nC; c++ {
-			s.Cores[c].SetNow(start)
+	m := edgeMap{s: s, gd: gd, mode: mode, dir: &gd.out, from: allFrontier, read: valueRead,
+		edge: func(c *mapCore, u, v int32, _ int64) (bool, error) {
+			c.update(gd.prop2.ElemAddr(int64(v)))
+			sums[v] += scores[u] / float64(g.Degree(u))
+			return false, nil
+		}}
+	if dir == graph.Pull {
+		m.dir, m.from, m.read = &gd.in, partFrontier, noRead
+		m.edge = func(c *mapCore, v, u int32, _ int64) (bool, error) {
+			c.gather(gd.prop.ElemAddr(int64(u)), 2)
+			if deg := g.Degree(u); deg > 0 {
+				sums[v] += scores[u] / float64(deg)
+			}
+			return false, nil
 		}
-		interleaved(nC, func(c int) bool {
-			cc := s.Cores[c]
-			for k := 0; k < chunkVerts; k++ {
-				u := cursor
-				if u >= g.N {
-					return false
-				}
-				cursor++
-				cc.Load(gd.idx.ElemAddr(int64(u)), cpu.Streaming)
-				cc.Load(gd.prop.ElemAddr(int64(u)), cpu.Streaming)
-				cc.Compute(2)
-				for i := g.Index[u]; i < g.Index[u+1]; i++ {
-					v := g.Edges[i]
-					if i%int64(memsim.LineSize/gd.weightsPerEdge) == 0 || i == g.Index[u] {
-						cc.Load(gd.edgeAddr(i), cpu.Streaming)
-					}
-					cc.Atomic(gd.prop2.ElemAddr(int64(v)))
-					apply(u, v)
-				}
-			}
-			return cursor < g.N
-		})
-		return coreFinish(s.Cores)
+		m.done = func(c *mapCore, v int32) { c.reduce(gd.prop2.ElemAddr(int64(v))) }
 	}
-
-	// NSC push.
-	type st struct {
-		u, hi  int32
-		propS  *stream.AffineStream
-		idxS   *stream.AffineStream // CSR index / linked heads
-		edgeS  *stream.AffineStream // CSR edges
-		chain  *stream.ChainStream  // linked CSR
-		ops    *stream.OpWindow
-		window []engine.Time
-		wIdx   int
-	}
-	states := make([]*st, nC)
-	for c := 0; c < nC; c++ {
-		state := &st{window: make([]engine.Time, passWindow), ops: stream.NewOpWindow(opWindow)}
-		state.propS = stream.NewAffineStream(s.SE, c, gd.prop.Base, gd.prop.ElemStride, 1, int64(g.N), false)
-		state.propS.Start(start)
-		if mode == sys.AffAlloc {
-			state.idxS = stream.NewAffineStream(s.SE, c, gd.heads.Base, gd.heads.ElemStride, 1, int64(g.N), false)
-			state.chain = stream.NewChainStream(s.SE, c, passWindow)
-		} else {
-			state.idxS = stream.NewAffineStream(s.SE, c, gd.idx.Base, gd.idx.ElemStride, 1, int64(g.N)+1, false)
-			state.edgeS = stream.NewAffineStream(s.SE, c, gd.edges.Base, gd.edges.ElemStride, 1, g.NumEdges(), false)
-		}
-		state.idxS.Start(start)
-		states[c] = state
-	}
-	var cursor int32
-	interleaved(nC, func(c int) bool {
-		state := states[c]
-		for k := 0; k < chunkVerts; k++ {
-			u := cursor
-			if u >= g.N {
-				return false
-			}
-			cursor++
-			notBefore := engine.MaxTime(start, state.window[state.wIdx])
-			_, tIdx := state.idxS.AddrReady(gd.headAddr(u), notBefore)
-			_, tProp := state.propS.AddrReady(gd.prop.ElemAddr(int64(u)), notBefore)
-			t := engine.MaxTime(tIdx, tProp)
-			var last engine.Time = t
-			if mode == sys.AffAlloc {
-				state.chain.BeginChain(t)
-				nodeB := gd.lcsr.NodeBytes()
-				for _, node := range gd.lcsr.Chains[u] {
-					tn := state.chain.VisitNode(node.Addr, nodeB)
-					for _, v := range node.Edges {
-						done, _ := s.SE.RemoteOp(state.ops.Issue(tn), state.chain.Bank(), gd.prop2.ElemAddr(int64(v)), true, false)
-						state.ops.Complete(done)
-						last = engine.MaxTime(last, done)
-						apply(u, v)
-					}
-				}
-				state.chain.EndChain()
-			} else {
-				for i := g.Index[u]; i < g.Index[u+1]; i++ {
-					v := g.Edges[i]
-					eb, te := state.edgeS.AddrReady(gd.edgeAddr(i), t)
-					target := gd.prop2.ElemAddr(int64(v))
-					done, _ := s.SE.RemoteOp(state.ops.Issue(te), gd.indirectFrom(s, eb, target), target, true, false)
-					state.ops.Complete(done)
-					last = engine.MaxTime(last, done)
-					apply(u, v)
-				}
-			}
-			state.window[state.wIdx] = last
-			state.wIdx = (state.wIdx + 1) % len(state.window)
-			if last > finish {
-				finish = last
-			}
-		}
-		return cursor < g.N
-	})
-	return finish
-}
-
-// pullIter gathers each vertex's in-neighbors' contributions with
-// indirect reads and a local reduction.
-func (w PageRank) pullIter(s *sys.System, gd *graphData, mode sys.Mode, scores, sums []float64, start engine.Time) engine.Time {
-	g, gt := w.G, w.GT
-	nC := s.NumCores()
-	finish := start
-
-	apply := func(v, u int32) {
-		deg := g.Degree(u)
-		if deg > 0 {
-			sums[v] += scores[u] / float64(deg)
-		}
-	}
-
-	if mode == sys.InCore {
-		type st struct{ v, hi int32 }
-		states := make([]*st, nC)
-		for c := 0; c < nC; c++ {
-			lo, hi := partition(int64(g.N), nC, c)
-			states[c] = &st{v: int32(lo), hi: int32(hi)}
-			s.Cores[c].SetNow(start)
-		}
-		interleaved(nC, func(c int) bool {
-			state := states[c]
-			if state.v >= state.hi {
-				return false
-			}
-			cc := s.Cores[c]
-			for k := 0; k < chunkVerts && state.v < state.hi; k++ {
-				v := state.v
-				state.v++
-				cc.Load(gd.idxT.ElemAddr(int64(v)), cpu.Streaming)
-				for i := gt.Index[v]; i < gt.Index[v+1]; i++ {
-					u := gt.Edges[i]
-					if i%int64(memsim.LineSize/gd.weightsPerEdge) == 0 || i == gt.Index[v] {
-						cc.Load(gd.edgeAddrT(i), cpu.Streaming)
-					}
-					cc.Load(gd.prop.ElemAddr(int64(u)), cpu.Irregular)
-					cc.Compute(2)
-					apply(v, u)
-				}
-				cc.Store(gd.prop2.ElemAddr(int64(v)), cpu.Streaming)
-			}
-			return state.v < state.hi
-		})
-		return coreFinish(s.Cores)
-	}
-
-	// NSC pull.
-	type st struct {
-		v, hi  int32
-		idxS   *stream.AffineStream
-		edgeS  *stream.AffineStream
-		chain  *stream.ChainStream
-		ops    *stream.OpWindow
-		window []engine.Time
-		wIdx   int
-	}
-	states := make([]*st, nC)
-	for c := 0; c < nC; c++ {
-		lo, hi := partition(int64(g.N), nC, c)
-		state := &st{v: int32(lo), hi: int32(hi), window: make([]engine.Time, passWindow), ops: stream.NewOpWindow(opWindow)}
-		if mode == sys.AffAlloc {
-			state.idxS = stream.NewAffineStream(s.SE, c, gd.headsT.ElemAddr(lo), gd.headsT.ElemStride, 1, hi-lo, false)
-			state.chain = stream.NewChainStream(s.SE, c, passWindow)
-		} else {
-			state.idxS = stream.NewAffineStream(s.SE, c, gd.idxT.ElemAddr(lo), gd.idxT.ElemStride, 1, hi-lo, false)
-			state.edgeS = stream.NewAffineStream(s.SE, c, gd.edgesT.Base, gd.edgesT.ElemStride, 1, gt.NumEdges(), false)
-		}
-		state.idxS.Start(start)
-		states[c] = state
-	}
-	interleaved(nC, func(c int) bool {
-		state := states[c]
-		if state.v >= state.hi {
-			return false
-		}
-		for k := 0; k < chunkVerts && state.v < state.hi; k++ {
-			v := state.v
-			state.v++
-			notBefore := engine.MaxTime(start, state.window[state.wIdx])
-			_, t := state.idxS.AddrReady(gd.headAddrT(v), notBefore)
-			vBank := s.Mem.BankOf(gd.prop2.ElemAddr(int64(v)))
-			var ready engine.Time = t
-			deg := 0
-			gatherBank := vBank
-			if mode == sys.AffAlloc {
-				state.chain.BeginChain(t)
-				nodeB := gd.lcsrT.NodeBytes()
-				for _, node := range gd.lcsrT.Chains[v] {
-					tn := state.chain.VisitNode(node.Addr, nodeB)
-					gatherBank = state.chain.Bank()
-					for _, u := range node.Edges {
-						done, _ := s.SE.RemoteOp(state.ops.Issue(tn), gatherBank, gd.prop.ElemAddr(int64(u)), false, true)
-						state.ops.Complete(done)
-						ready = engine.MaxTime(ready, done)
-						deg++
-						apply(v, u)
-					}
-				}
-				state.chain.EndChain()
-			} else {
-				for i := gt.Index[v]; i < gt.Index[v+1]; i++ {
-					u := gt.Edges[i]
-					eb, te := state.edgeS.AddrReady(gd.edgeAddrT(i), t)
-					gatherBank = eb
-					target := gd.prop.ElemAddr(int64(u))
-					done, _ := s.SE.RemoteOp(state.ops.Issue(te), gd.indirectFrom(s, eb, target), target, false, true)
-					state.ops.Complete(done)
-					ready = engine.MaxTime(ready, done)
-					deg++
-					apply(v, u)
-				}
-			}
-			if deg > 0 {
-				compDone := s.SE.Compute(ready, gatherBank, deg)
-				done, _ := s.SE.RemoteOp(compDone, gatherBank, gd.prop2.ElemAddr(int64(v)), true, false)
-				ready = done
-			}
-			state.window[state.wIdx] = ready
-			state.wIdx = (state.wIdx + 1) % len(state.window)
-			if ready > finish {
-				finish = ready
-			}
-		}
-		return state.v < state.hi
-	})
-	return finish
+	return m.run(start)
 }

@@ -12,7 +12,6 @@
 package workloads
 
 import (
-	"fmt"
 	"hash/fnv"
 	"math"
 
@@ -136,8 +135,3 @@ const chunkVerts = 8
 // opWindow bounds each core's outstanding indirect operations (the
 // SEL3 per-stream request buffer; cf. Table 2's 12-stream SEcore).
 const opWindow = 12
-
-// errModeUnsupported flags an invalid mode value.
-func errModeUnsupported(m sys.Mode) error {
-	return fmt.Errorf("workloads: unsupported mode %v", m)
-}
