@@ -8,9 +8,9 @@
 // The server core is built for serving, not simulating: machine lookup
 // on the hot placement path is a lock-free atomic load of a
 // copy-on-write registry, per-machine placement state is owned by a
-// single worker goroutine that admits requests in batches, and pool
-// bookkeeping is sharded one lock domain per interleave pool. Placements
-// themselves are produced by the exact same sys.System entry points the
+// single worker goroutine that admits requests in batches, and that
+// worker keeps the per-pool counters under one mutex scrapes copy them
+// under. Placements themselves are produced by the exact same sys.System entry points the
 // library exposes, so an identical request stream yields byte-identical
 // placements through the wire API and through direct library calls (the
 // differential gate in server_test.go pins this).

@@ -29,94 +29,6 @@ var errReplaying = errors.New("affinityd: machine is replaying its journal")
 // queueing unboundedly. The client retry loop backs off and resubmits.
 var errOverloaded = errors.New("affinityd: admission queue full")
 
-// poolDomain is the serving-side bookkeeping of one interleave pool.
-// Each pool is its own lock domain: an allocation touches only the
-// domain of the pool its placement landed in, so traffic across pools
-// never contends, and metric scrapes lock one pool at a time.
-type poolDomain struct {
-	interleave int
-	// start is the pool's virtual base, 0 until the pool exists: a domain
-	// can predate its pool (a page-mapped placement reports an interleave
-	// no pooled allocation has used yet).
-	start atomic.Uint64
-
-	mu     sync.Mutex
-	allocs uint64
-	frees  uint64
-	bytes  uint64
-}
-
-func (d *poolDomain) recordAlloc(bytes int64) {
-	d.mu.Lock()
-	d.allocs++
-	d.bytes += uint64(bytes)
-	d.mu.Unlock()
-}
-
-func (d *poolDomain) recordFree() {
-	d.mu.Lock()
-	d.frees++
-	d.mu.Unlock()
-}
-
-func (d *poolDomain) info() PoolInfo {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return PoolInfo{
-		Interleave: d.interleave,
-		Start:      d.start.Load(),
-		Allocs:     d.allocs,
-		Frees:      d.frees,
-		Bytes:      d.bytes,
-	}
-}
-
-// poolTable maps interleave -> domain. Lookup of an existing domain
-// takes only the table's read lock (shared, uncontended after warmup);
-// the write lock is taken once per pool lifetime, at creation.
-type poolTable struct {
-	mu      sync.RWMutex
-	domains map[int]*poolDomain
-}
-
-func (t *poolTable) domain(interleave int, start uint64) *poolDomain {
-	t.mu.RLock()
-	d := t.domains[interleave]
-	t.mu.RUnlock()
-	if d == nil {
-		t.mu.Lock()
-		if t.domains == nil {
-			t.domains = make(map[int]*poolDomain)
-		}
-		if d = t.domains[interleave]; d == nil {
-			d = &poolDomain{interleave: interleave}
-			t.domains[interleave] = d
-		}
-		t.mu.Unlock()
-	}
-	if start != 0 {
-		d.start.Store(start)
-	}
-	return d
-}
-
-// infos snapshots every domain, sorted by interleave for deterministic
-// rendering.
-func (t *poolTable) infos() []PoolInfo {
-	t.mu.RLock()
-	domains := make([]*poolDomain, 0, len(t.domains))
-	for _, d := range t.domains {
-		domains = append(domains, d)
-	}
-	t.mu.RUnlock()
-	sort.Slice(domains, func(i, j int) bool { return domains[i].interleave < domains[j].interleave })
-	out := make([]PoolInfo, len(domains))
-	for i, d := range domains {
-		out[i] = d.info()
-	}
-	return out
-}
-
 // handle is one live allocation. Handles are owned by the machine's
 // worker goroutine; nothing else reads or writes them.
 type handle struct {
@@ -137,8 +49,8 @@ type handle struct {
 // the handle table, the batch dedup cache, and the journal append side)
 // is owned by a single goroutine — the worker once serving, the
 // recovery goroutine during replay — while reads that the wire API
-// serves concurrently (pool stats, counters) live in the sharded
-// poolTable and atomics.
+// serves concurrently live in atomics (counters) and in pools, whose
+// mutex the worker holds per update and a scrape holds per copy.
 type machine struct {
 	id      string
 	spec    MachineSpec
@@ -182,7 +94,10 @@ type machine struct {
 	sinceSnap  int
 	snapshots  atomic.Uint64
 
-	pools         poolTable
+	// pools holds the serving counters of each interleaving, keyed by
+	// interleave; 0 is the baseline heap, which has no pool.
+	poolMu        sync.Mutex
+	pools         map[int]*PoolInfo
 	allocs        atomic.Uint64
 	frees         atomic.Uint64
 	allocErrs     atomic.Uint64
@@ -237,6 +152,7 @@ func newMachine(id string, spec MachineSpec, cfg sys.Config, s *sys.System, o ma
 		handles:   make(map[string]*handle),
 		seen:      make(map[string]struct{}),
 		results:   make(map[string]jobResult),
+		pools:     make(map[int]*PoolInfo),
 		journal:   o.journal,
 		snapPath:  o.snapPath,
 		snapEvery: o.snapEvery,
@@ -521,7 +437,7 @@ func (m *machine) placeAffine(req *AllocRequest) (Placement, error) {
 		h.baseline = true
 	}
 	m.handles[req.ID] = h
-	m.poolFor(info.Interleave).recordAlloc(h.bytes)
+	m.recordPool(info.Interleave, 1, 0, uint64(h.bytes))
 	p := Placement{
 		ID:         req.ID,
 		Base:       uint64(info.Base),
@@ -568,7 +484,7 @@ func (m *machine) placeNear(req *AllocRequest) (Placement, error) {
 	chunk, _ := m.sys.RT.ChunkOf(base)
 	bank := m.sys.BankOf(base)
 	m.handles[req.ID] = &handle{base: base, chunk: chunk, bytes: int64(chunk)}
-	m.poolFor(chunk).recordAlloc(int64(chunk))
+	m.recordPool(chunk, 1, 0, uint64(chunk))
 	p := Placement{
 		ID:         req.ID,
 		Base:       uint64(base),
@@ -613,21 +529,50 @@ func (m *machine) execFrees(ids []string) []FreeResult {
 		if h.info != nil {
 			interleave = h.info.Interleave
 		}
-		m.poolFor(interleave).recordFree()
+		m.recordPool(interleave, 0, 1, 0)
 	}
 	return out
 }
 
-// poolFor resolves the lock domain of an interleaving. Interleave 0 —
-// baseline-heap placements with no pool — shares one "no pool" domain.
-// The lookup is read-only: bookkeeping must never open a pool, or slot
-// order (hence every later base address) would diverge from the library.
-func (m *machine) poolFor(interleave int) *poolDomain {
+// recordPool adds allocs, frees and bytes to an interleaving's counters
+// and returns them. Interleave 0 — baseline-heap placements with no
+// pool — shares one "no pool" entry. An entry can predate its pool (a
+// page-mapped placement reports an interleave no pooled allocation has
+// used yet), so Start stays 0 until the pool exists. The pool lookup is
+// read-only: bookkeeping must never open a pool, or slot order (hence
+// every later base address) would diverge from the library.
+func (m *machine) recordPool(interleave int, allocs, frees, bytes uint64) PoolInfo {
 	var start uint64
 	if p := m.sys.Space.PoolIfOpen(interleave); p != nil {
 		start = uint64(p.Start)
 	}
-	return m.pools.domain(interleave, start)
+	m.poolMu.Lock()
+	defer m.poolMu.Unlock()
+	pi := m.pools[interleave]
+	if pi == nil {
+		pi = &PoolInfo{Interleave: interleave}
+		m.pools[interleave] = pi
+	}
+	if start != 0 {
+		pi.Start = start
+	}
+	pi.Allocs += allocs
+	pi.Frees += frees
+	pi.Bytes += bytes
+	return *pi
+}
+
+// poolInfos copies every pool's counters, sorted by interleave for
+// deterministic rendering.
+func (m *machine) poolInfos() []PoolInfo {
+	m.poolMu.Lock()
+	out := make([]PoolInfo, 0, len(m.pools))
+	for _, pi := range m.pools {
+		out = append(out, *pi)
+	}
+	m.poolMu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Interleave < out[j].Interleave })
+	return out
 }
 
 // execOpenPool pre-opens an interleave pool. It runs on the worker, so
@@ -636,11 +581,10 @@ func (m *machine) execOpenPool(interleave int) (PoolInfo, error) {
 	if interleave <= 0 {
 		return PoolInfo{}, fmt.Errorf("interleave must be positive, got %d", interleave)
 	}
-	p, err := m.sys.OpenPool(interleave)
-	if err != nil {
+	if _, err := m.sys.OpenPool(interleave); err != nil {
 		return PoolInfo{}, err
 	}
-	return m.pools.domain(interleave, uint64(p.Start)).info(), nil
+	return m.recordPool(interleave, 0, 0, 0), nil
 }
 
 // info builds the GET machine view from the concurrent-safe state.
@@ -654,7 +598,7 @@ func (m *machine) infoResponse() MachineInfoResponse {
 		Allocs:      m.allocs.Load(),
 		Frees:       m.frees.Load(),
 		AllocErrors: m.allocErrs.Load(),
-		Pools:       m.pools.infos(),
+		Pools:       m.poolInfos(),
 	}
 }
 

@@ -571,7 +571,7 @@ func (s *Server) MetricsDocument() *telemetry.Document {
 			r.Set("journal_seq", m.journalSeq.Load())
 			r.Set("snapshots", m.snapshots.Load())
 		}
-		if pools := m.pools.infos(); len(pools) > 0 {
+		if pools := m.poolInfos(); len(pools) > 0 {
 			interleaves := make([]uint64, len(pools))
 			allocs := make([]uint64, len(pools))
 			bytes := make([]uint64, len(pools))
