@@ -23,18 +23,14 @@ type ChainStream struct {
 	inChain bool
 	depth   int // nodes visited in the current chain
 	// window bounds concurrently outstanding chains.
-	window []engine.Time
-	wIdx   int
+	window *OpWindow
 	finish engine.Time
 }
 
 // NewChainStream builds a chain stream issued by coreTile with the given
 // overlap window.
 func NewChainStream(eng *Engine, coreTile, window int) *ChainStream {
-	if window < 1 {
-		window = 1
-	}
-	return &ChainStream{eng: eng, coreTile: coreTile, window: make([]engine.Time, window)}
+	return &ChainStream{eng: eng, coreTile: coreTile, window: NewOpWindow(window)}
 }
 
 // BeginChain starts a new independent chain whose inputs (the head
@@ -45,7 +41,7 @@ func (s *ChainStream) BeginChain(notBefore engine.Time) engine.Time {
 		s.EndChain()
 	}
 	s.inChain = true
-	s.chainT = engine.MaxTime(notBefore, s.window[s.wIdx])
+	s.chainT = s.window.Issue(notBefore)
 	return s.chainT
 }
 
@@ -94,8 +90,7 @@ func (s *ChainStream) EndChain() engine.Time {
 		return s.chainT
 	}
 	s.inChain = false
-	s.window[s.wIdx] = s.chainT
-	s.wIdx = (s.wIdx + 1) % len(s.window)
+	s.window.Complete(s.chainT)
 	s.depth = 0
 	return s.chainT
 }

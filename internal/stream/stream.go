@@ -121,9 +121,6 @@ func NewEngine(mem *cache.MemSystem, cfg Config) *Engine {
 	return e
 }
 
-// Config returns the engine configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // Mem returns the memory system.
 func (e *Engine) Mem() *cache.MemSystem { return e.mem }
 
@@ -294,6 +291,9 @@ func (e *Engine) Release() {
 // SEL3's per-stream request buffer. Remote operations throttle to
 // window/RTT, which is exactly how distance converts to throughput loss
 // for indirect-heavy streams (and why placing targets locally pays).
+// The same ring of completion times bounds in-flight chains, pass
+// groups and chase queries: Issue waits for the oldest slot, Complete
+// refills it.
 type OpWindow struct {
 	slots []engine.Time
 	idx   int

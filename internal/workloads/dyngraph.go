@@ -56,7 +56,6 @@ func (w DynGraph) Run(s *sys.System, mode sys.Mode) (Result, error) {
 		ranks[i] = 1 / float64(n)
 	}
 
-	nC := s.NumCores()
 	cs := newChecksum()
 	var finish engine.Time
 
@@ -70,7 +69,6 @@ func (w DynGraph) Run(s *sys.System, mode sys.Mode) (Result, error) {
 		for u := int32(0); u < g.N; u += 97 {
 			cs.addU64(uint64(lc.DynamicDegree(u)))
 		}
-		_ = nC
 	}
 	for i := int64(0); i < n; i += 101 {
 		cs.addF32(float32(ranks[i]))

@@ -85,9 +85,6 @@ func (p pass) coreGroups(c, nC int) [][2]int64 {
 // driver turn.
 const chunkGroups = 8
 
-// debugPass, when non-nil, observes every group's scheduling (test aid).
-var debugPass func(core, group, outBank int, notBefore, ready, compDone uint64)
-
 // passWindow bounds in-flight groups per core (credit-based flow control
 // between dependent streams, §2.2).
 const passWindow = 32
@@ -104,13 +101,12 @@ func (p pass) runNSC(s *sys.System, start engine.Time) engine.Time {
 		next   int
 		in     []*stream.AffineStream
 		out    *stream.AffineStream
-		window []engine.Time
-		wIdx   int
+		window *stream.OpWindow
 	}
 	states := make([]*coreState, nC)
 	for c := 0; c < nC; c++ {
 		groups := p.coreGroups(c, nC)
-		st := &coreState{groups: groups, window: make([]engine.Time, passWindow)}
+		st := &coreState{groups: groups, window: stream.NewOpWindow(passWindow)}
 		if len(groups) > 0 {
 			for _, op := range p.ops {
 				base := op.arr.ElemAddr(clampIdx(groups[0][0]+op.off, op.arr.NumElem))
@@ -135,7 +131,7 @@ func (p pass) runNSC(s *sys.System, start engine.Time) engine.Time {
 			st.next++
 			elems := int(g1 - g0)
 			outBank := mem.BankOf(p.out.ElemAddr(g0))
-			notBefore := engine.MaxTime(start, st.window[st.wIdx])
+			notBefore := st.window.Issue(start)
 
 			var ready engine.Time
 			for k, op := range p.ops {
@@ -166,12 +162,8 @@ func (p pass) runNSC(s *sys.System, start engine.Time) engine.Time {
 				}
 			}
 			compDone := eng.Compute(ready, outBank, elems*p.weight)
-			if debugPass != nil {
-				debugPass(c, st.next-1, outBank, uint64(notBefore), uint64(ready), uint64(compDone))
-			}
 			st.out.AddrReady(p.out.ElemAddr(g0), compDone)
-			st.window[st.wIdx] = compDone
-			st.wIdx = (st.wIdx + 1) % len(st.window)
+			st.window.Complete(compDone)
 		}
 		if f := st.out.Finish(); f > finish {
 			finish = f

@@ -127,12 +127,11 @@ func (w LinkList) Run(s *sys.System, mode sys.Mode) (Result, error) {
 	// querying core, windowed per core.
 	type coreState struct {
 		next   int
-		window []engine.Time
-		wIdx   int
+		window *stream.OpWindow
 	}
 	states := make([]*coreState, nC)
 	for c := range states {
-		states[c] = &coreState{next: c, window: make([]engine.Time, chaseWindow)}
+		states[c] = &coreState{next: c, window: stream.NewOpWindow(chaseWindow)}
 	}
 	interleaved(nC, func(c int) bool {
 		st := states[c]
@@ -141,7 +140,7 @@ func (w LinkList) Run(s *sys.System, mode sys.Mode) (Result, error) {
 		}
 		q := queries[st.next]
 		st.next += nC
-		start := st.window[st.wIdx]
+		start := st.window.Issue(0)
 		ch := stream.NewChaseStream(s.SE, c)
 		ch.Start(start, lists[q.list].Head())
 		found := uint64(0)
@@ -154,8 +153,7 @@ func (w LinkList) Run(s *sys.System, mode sys.Mode) (Result, error) {
 		}
 		done := ch.Terminate()
 		cs.addU64(found)
-		st.window[st.wIdx] = done
-		st.wIdx = (st.wIdx + 1) % len(st.window)
+		st.window.Complete(done)
 		if done > finish {
 			finish = done
 		}
@@ -203,13 +201,8 @@ func (w HashJoin) Run(s *sys.System, mode sys.Mode) (Result, error) {
 	}
 	// Warm table into the LLC: bucket array + every chain node.
 	s.Mem.Preload(ht.BucketAddr(0), 8*w.Buckets)
-	var path []memsim.Addr
-	for b := int64(0); b < w.Buckets; b++ {
-		_, path, _, _ = ht.ProbePath(^uint64(0), path[:0])
-	}
 	for k := int64(0); k < w.BuildRows; k++ {
-		slot, p, _, _ := ht.ProbePath(uint64(k)*2+1, nil)
-		_ = slot
+		_, p, _, _ := ht.ProbePath(uint64(k)*2+1, nil)
 		preloadLines(s, p, dstruct.HashNodeBytes)
 	}
 
@@ -257,12 +250,11 @@ func (w HashJoin) Run(s *sys.System, mode sys.Mode) (Result, error) {
 	} else {
 		type coreState struct {
 			next   int
-			window []engine.Time
-			wIdx   int
+			window *stream.OpWindow
 		}
 		states := make([]*coreState, nC)
 		for c := range states {
-			states[c] = &coreState{next: c, window: make([]engine.Time, chaseWindow)}
+			states[c] = &coreState{next: c, window: stream.NewOpWindow(chaseWindow)}
 		}
 		interleaved(nC, func(c int) bool {
 			st := states[c]
@@ -271,7 +263,7 @@ func (w HashJoin) Run(s *sys.System, mode sys.Mode) (Result, error) {
 			}
 			key := probes[st.next]
 			st.next += nC
-			start := st.window[st.wIdx]
+			start := st.window.Issue(0)
 			slot, p, v, ok := ht.ProbePath(key, nil)
 			// The probe is offloaded to the bucket's bank, then chases
 			// the chain; the verdict returns to the core.
@@ -286,8 +278,7 @@ func (w HashJoin) Run(s *sys.System, mode sys.Mode) (Result, error) {
 				matches++
 				cs.addU64(v)
 			}
-			st.window[st.wIdx] = done
-			st.wIdx = (st.wIdx + 1) % len(st.window)
+			st.window.Complete(done)
 			if done > finish {
 				finish = done
 			}
@@ -380,12 +371,11 @@ func (w BinTree) Run(s *sys.System, mode sys.Mode) (Result, error) {
 	} else {
 		type coreState struct {
 			next   int
-			window []engine.Time
-			wIdx   int
+			window *stream.OpWindow
 		}
 		states := make([]*coreState, nC)
 		for c := range states {
-			states[c] = &coreState{next: c, window: make([]engine.Time, chaseWindow)}
+			states[c] = &coreState{next: c, window: stream.NewOpWindow(chaseWindow)}
 		}
 		interleaved(nC, func(c int) bool {
 			st := states[c]
@@ -394,7 +384,7 @@ func (w BinTree) Run(s *sys.System, mode sys.Mode) (Result, error) {
 			}
 			key := lookups[st.next]
 			st.next += nC
-			start := st.window[st.wIdx]
+			start := st.window.Issue(0)
 			path, found := tree.SearchPath(key, paths[c][:0])
 			paths[c] = path
 			ch := stream.NewChaseStream(s.SE, c)
@@ -406,8 +396,7 @@ func (w BinTree) Run(s *sys.System, mode sys.Mode) (Result, error) {
 			if found {
 				cs.addU64(uint64(len(path)))
 			}
-			st.window[st.wIdx] = done
-			st.wIdx = (st.wIdx + 1) % len(st.window)
+			st.window.Complete(done)
 			if done > finish {
 				finish = done
 			}
