@@ -203,20 +203,6 @@ func (c *SetAssoc) Probe(line uint64) bool {
 	return false
 }
 
-// Invalidate removes a line if present, returning whether it was dirty.
-func (c *SetAssoc) Invalidate(line uint64) (present, dirty bool) {
-	base := c.setOf(line) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == line {
-			present, dirty = true, c.dirty[base+w]
-			c.tags[base+w] = invalidTag
-			c.dirty[base+w] = false
-			return present, dirty
-		}
-	}
-	return false, false
-}
-
 // touch updates replacement state on a hit.
 func (c *SetAssoc) touch(base, way int) {
 	switch c.repl {
@@ -291,10 +277,4 @@ func (c *SetAssoc) MissRate() float64 {
 		return 0
 	}
 	return float64(c.Misses) / float64(c.Accesses)
-}
-
-// ResetStats clears counters but keeps cache contents (warm measurement
-// windows).
-func (c *SetAssoc) ResetStats() {
-	c.Accesses, c.Hits, c.Misses = 0, 0, 0
 }

@@ -74,21 +74,6 @@ func TestDirtyVictimReported(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := MustSetAssoc(256, 4, LRU)
-	c.Access(5, true)
-	present, dirty := c.Invalidate(5)
-	if !present || !dirty {
-		t.Errorf("invalidate = %v,%v", present, dirty)
-	}
-	if c.Probe(5) {
-		t.Error("line present after invalidate")
-	}
-	if present, _ := c.Invalidate(5); present {
-		t.Error("double invalidate found the line")
-	}
-}
-
 func TestInstallBypassesStats(t *testing.T) {
 	c := MustSetAssoc(32<<10, 8, BRRIP)
 	c.Install(11)
@@ -215,20 +200,6 @@ func TestMemSystemBankResolution(t *testing.T) {
 		if got, want := m.BankOf(va), i%64; got != want {
 			t.Fatalf("BankOf line %d = %d, want %d", i, got, want)
 		}
-	}
-}
-
-func TestMemSystemResetStatsKeepsContents(t *testing.T) {
-	m := newMemSys(t)
-	base, _ := m.Space().HeapBrk(1 << 12)
-	m.Access(0, base, false)
-	m.ResetStats()
-	a, _, _ := m.TotalL3Stats()
-	if a != 0 || m.DRAMReads != 0 {
-		t.Error("ResetStats left counters")
-	}
-	if _, hit := m.Access(1000, base, false); !hit {
-		t.Error("contents lost by ResetStats")
 	}
 }
 

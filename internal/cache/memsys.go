@@ -132,9 +132,6 @@ func (m *MemSystem) Net() *noc.Network { return m.net }
 // Banks returns the number of L3 banks.
 func (m *MemSystem) Banks() int { return len(m.banks) }
 
-// Bank exposes one bank's tag array (for stats).
-func (m *MemSystem) Bank(i int) *SetAssoc { return m.banks[i] }
-
 // BankOf returns the home L3 bank of the line containing va.
 func (m *MemSystem) BankOf(va memsim.Addr) int {
 	return m.space.MustBank(memsim.LineAddr(va))
@@ -275,15 +272,6 @@ func (m *MemSystem) TotalL3Stats() (accesses, hits, misses uint64) {
 	return accesses, hits, misses
 }
 
-// L3MissRate returns the aggregate L3 miss rate.
-func (m *MemSystem) L3MissRate() float64 {
-	a, _, miss := m.TotalL3Stats()
-	if a == 0 {
-		return 0
-	}
-	return float64(miss) / float64(a)
-}
-
 // BankBusyCycles returns a copy of each bank port's accumulated busy
 // cycles.
 func (m *MemSystem) BankBusyCycles() []uint64 {
@@ -291,9 +279,6 @@ func (m *MemSystem) BankBusyCycles() []uint64 {
 	copy(out, m.bankBusy)
 	return out
 }
-
-// Channels returns the number of DRAM channels (memory controllers).
-func (m *MemSystem) Channels() int { return len(m.ctrls) }
 
 // PublishTelemetry publishes the per-bank L3 access/hit/miss/occupancy
 // series and the per-channel DRAM read/write/queue series into the
@@ -313,20 +298,6 @@ func (m *MemSystem) PublishTelemetry(r *telemetry.Registry) {
 	r.SetSeries("dram_chan_reads", m.chanReads)
 	r.SetSeries("dram_chan_writes", m.chanWrites)
 	r.SetSeries("dram_chan_queue_cycles", m.chanQueueCycles)
-}
-
-// ResetStats clears bank and DRAM counters but keeps cache contents.
-func (m *MemSystem) ResetStats() {
-	for _, b := range m.banks {
-		b.ResetStats()
-	}
-	for i := range m.bankBusy {
-		m.bankBusy[i] = 0
-	}
-	for i := range m.chanReads {
-		m.chanReads[i], m.chanWrites[i], m.chanQueueCycles[i] = 0, 0, 0
-	}
-	m.DRAMReads, m.DRAMWrites = 0, 0
 }
 
 // MigrateLines models re-homing the lines of [va, va+bytes) from bank

@@ -207,9 +207,6 @@ func (r *Runtime) Space() *memsim.Space { return r.space }
 // Mesh returns the topology.
 func (r *Runtime) Mesh() *topo.Mesh { return r.mesh }
 
-// PolicyConfig returns the irregular bank-selection policy in force.
-func (r *Runtime) PolicyConfig() PolicyConfig { return r.pcfg }
-
 // BankOf returns the L3 bank of an allocated address.
 func (r *Runtime) BankOf(addr memsim.Addr) int { return r.space.MustBank(addr) }
 
@@ -235,12 +232,6 @@ func (r *Runtime) NoteMigration(from, to int) {
 		r.load[from]--
 		r.load[to]++
 	}
-}
-
-// ArrayOf returns the layout record for an affine array's base address.
-func (r *Runtime) ArrayOf(base memsim.Addr) (*ArrayInfo, bool) {
-	a, ok := r.arrays[base]
-	return a, ok
 }
 
 // ChunkOf returns the placement-unit (chunk) size of a live irregular

@@ -134,9 +134,6 @@ func NewCore(id int, mem *cache.MemSystem, coh *Coherence, cfg Config) (*Core, e
 	}, nil
 }
 
-// ID returns the core's tile index.
-func (c *Core) ID() int { return c.id }
-
 // Now returns the core's issue-front cycle.
 func (c *Core) Now() engine.Time { return c.now }
 

@@ -88,15 +88,6 @@ func (l *List) Key(addr memsim.Addr) uint64 {
 	return l.alloc.Space().ReadU64(addr)
 }
 
-// Walk visits nodes head-to-tail until fn returns false.
-func (l *List) Walk(fn func(addr memsim.Addr, key uint64) bool) {
-	for addr := l.head; addr != 0; addr = l.Next(addr) {
-		if !fn(addr, l.Key(addr)) {
-			return
-		}
-	}
-}
-
 // BSTNodeBytes is a tree node's footprint: key + left + right.
 const BSTNodeBytes = 24
 
@@ -206,7 +197,6 @@ type HashTable struct {
 	alloc   Alloc
 	buckets *core.ArrayInfo // one Addr per bucket
 	nb      int64
-	n       int
 }
 
 // NewHashTable builds a table with nb buckets.
@@ -248,9 +238,6 @@ func Hash(key uint64) uint64 {
 // Buckets returns the bucket count.
 func (h *HashTable) Buckets() int64 { return h.nb }
 
-// Len returns the number of inserted keys.
-func (h *HashTable) Len() int { return h.n }
-
 // BucketAddr returns the address of bucket i's head pointer.
 func (h *HashTable) BucketAddr(i int64) memsim.Addr { return h.buckets.ElemAddr(i) }
 
@@ -271,7 +258,6 @@ func (h *HashTable) Insert(key, value uint64) error {
 	sp.WriteU64(addr+8, value)
 	sp.WriteAddr(addr+16, head)
 	sp.WriteAddr(slot, addr)
-	h.n++
 	return nil
 }
 

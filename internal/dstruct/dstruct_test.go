@@ -30,14 +30,14 @@ func TestListAppendWalk(t *testing.T) {
 		if l.Len() != 100 {
 			t.Fatalf("len %d", l.Len())
 		}
+		// Walk head to tail the way the link_list workload chases it.
 		want := uint64(0)
-		l.Walk(func(_ memsim.Addr, key uint64) bool {
-			if key != want*3 {
+		for addr := l.Head(); addr != 0; addr = l.Next(addr) {
+			if key := l.Key(addr); key != want*3 {
 				t.Fatalf("key %d, want %d", key, want*3)
 			}
 			want++
-			return true
-		})
+		}
 		if want != 100 {
 			t.Fatalf("walked %d nodes", want)
 		}

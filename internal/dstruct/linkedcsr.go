@@ -18,9 +18,6 @@ const (
 	CSRNodeBytes = 64
 	// EdgesPerNode is the edge capacity of one node.
 	EdgesPerNode = 14
-	// WeightedEdgesPerNode halves capacity when each edge carries a
-	// 4-byte weight alongside its target.
-	WeightedEdgesPerNode = 7
 )
 
 // CSRNode is the Go-side mirror of one simulated edge node.

@@ -142,9 +142,6 @@ func (q *SpatialQueue) PartOf(v int32) int64 {
 	return p
 }
 
-// TailAddr returns partition p's tail counter address.
-func (q *SpatialQueue) TailAddr(p int64) memsim.Addr { return q.tails.ElemAddr(p) }
-
 // Push appends v to its partition's sub-queue, returning the tail and
 // slot addresses for timing replay.
 func (q *SpatialQueue) Push(v int32) (tailAddr, slotAddr memsim.Addr, err error) {

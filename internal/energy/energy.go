@@ -89,15 +89,3 @@ func Estimate(c Counts, p Params) Breakdown {
 			(float64(c.Routers)*p.RouterIdlePJ + float64(c.Banks)*p.UncoreCyclePJ),
 	}
 }
-
-// Efficiency returns work/energy relative speed: given two runs of the
-// same work, eff = (cyclesB * energyB) / (cyclesA * energyA) — i.e. the
-// energy-efficiency ratio of A over B when both complete identical work.
-// The paper reports energy efficiency as performance/watt normalized to a
-// baseline, which for equal work reduces to energyBase/energyNew.
-func Efficiency(energyNew, energyBase float64) float64 {
-	if energyNew == 0 {
-		return 0
-	}
-	return energyBase / energyNew
-}

@@ -58,12 +58,3 @@ func TestRelativeMagnitudes(t *testing.T) {
 		t.Error("core cycle should dwarf SEL3 op energy")
 	}
 }
-
-func TestEfficiency(t *testing.T) {
-	if Efficiency(50, 100) != 2 {
-		t.Error("Efficiency(50,100) != 2")
-	}
-	if Efficiency(0, 100) != 0 {
-		t.Error("Efficiency with zero energy should be 0")
-	}
-}

@@ -9,20 +9,9 @@ package engine
 // Time is a simulated cycle count.
 type Time uint64
 
-// Forever is a sentinel time later than any reachable cycle.
-const Forever Time = ^Time(0)
-
 // MaxTime returns the later of two times.
 func MaxTime(a, b Time) Time {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinTime returns the earlier of two times.
-func MinTime(a, b Time) Time {
-	if a < b {
 		return a
 	}
 	return b

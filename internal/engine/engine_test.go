@@ -88,9 +88,6 @@ func TestMinMaxTime(t *testing.T) {
 	if MaxTime(3, 5) != 5 || MaxTime(5, 3) != 5 {
 		t.Error("MaxTime wrong")
 	}
-	if MinTime(3, 5) != 3 || MinTime(5, 3) != 3 {
-		t.Error("MinTime wrong")
-	}
 }
 
 // TestSameCycleFIFO: requests for the same cycle are granted in call

@@ -137,7 +137,7 @@ func checkServerMatchesRef(t testing.TB, unitsPerCycle int, width Time, buckets 
 			at = cursor + Time(mag)%span
 		default: // the cursor advances; the request lands a little behind it
 			cursor += Time(mag) % (2*width + 1)
-			at = cursor - MinTime(cursor, Time(mag>>8)%(4*width))
+			at = cursor - min(cursor, Time(mag>>8)%(4*width))
 		}
 		got, want := srv.Reserve(at, units), ref.reserve(at, units)
 		if got != want || srv.base != ref.base {

@@ -202,9 +202,6 @@ func New(spec Spec, mesh *topo.Mesh, channels int) (*Injector, error) {
 	return f, nil
 }
 
-// Spec returns the resolved spec.
-func (f *Injector) Spec() Spec { return f.spec }
-
 // linkBetween returns the dense index of the directed link from bank a to
 // adjacent bank b.
 func (f *Injector) linkBetween(a, b int) (int, error) {

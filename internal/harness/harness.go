@@ -8,7 +8,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"affinityalloc/internal/core"
 	"affinityalloc/internal/faults"
@@ -96,9 +95,6 @@ type Options struct {
 	limit chan struct{}
 }
 
-// DefaultOptions returns the default sizing.
-func DefaultOptions() Options { return Options{Scale: Default, Seed: 1} }
-
 // Validate rejects option values every simulation cell would fail with
 // (an out-of-range fault spec, a bad realloc config), so CLIs can
 // report one named error up front instead of one failure per cell.
@@ -175,16 +171,6 @@ func baseConfig(opt Options, pcfg core.PolicyConfig) sys.Config {
 	return cfg
 }
 
-// runModes runs a workload under the three configurations, one parallel
-// cell per mode.
-func runModes(opt Options, w workloads.Workload) (map[sys.Mode]workloads.Result, error) {
-	ms, err := runModesAll(opt, []workloads.Workload{w})
-	if err != nil {
-		return nil, err
-	}
-	return ms[0], nil
-}
-
 // runModesAll runs every (workload × mode) pair as one flat batch of
 // parallel cells and returns the per-workload mode maps in input order.
 func runModesAll(opt Options, ws []workloads.Workload) ([]map[sys.Mode]workloads.Result, error) {
@@ -249,16 +235,6 @@ func trafficCols(r workloads.Result, base workloads.Result) (d, c, o float64) {
 // geomeanColumn computes the geometric mean of a column extractor over
 // rows.
 func geomeanColumn(vals []float64) float64 { return stats.Geomean(vals) }
-
-// sortedKeys returns map keys in sorted order for deterministic output.
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
 
 // sharedGraph builds the evaluation's main Kronecker graph at the given
 // scale (Table 3: 128k nodes, 4M edges at paper scale).

@@ -15,7 +15,6 @@ package memsim
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -46,22 +45,6 @@ const (
 	MaxInterleave = 4096
 	NumPools      = 7
 )
-
-// PoolIndex returns the pool index for a power-of-two interleaving, or an
-// error if the interleaving is unsupported.
-func PoolIndex(interleave int) (int, error) {
-	if interleave < MinInterleave || interleave > MaxInterleave || interleave&(interleave-1) != 0 {
-		return 0, fmt.Errorf("memsim: unsupported interleave %dB (want power of two in [%d,%d])", interleave, MinInterleave, MaxInterleave)
-	}
-	idx := 0
-	for v := interleave; v > MinInterleave; v >>= 1 {
-		idx++
-	}
-	return idx, nil
-}
-
-// InterleaveOf is the inverse of PoolIndex.
-func InterleaveOf(poolIdx int) int { return MinInterleave << poolIdx }
 
 // ValidInterleave reports whether an interleaving is supported by this
 // space: the paper's power-of-two set always, plus (when the §4.1
@@ -144,9 +127,6 @@ func (t *IOT) peek(pa PAddr) (IOTEntry, bool) {
 
 // Len returns the number of installed entries.
 func (t *IOT) Len() int { return len(t.entries) }
-
-// Capacity returns the table capacity.
-func (t *IOT) Capacity() int { return t.capacity }
 
 // HeapLayout selects how heap virtual pages are backed by physical pages.
 type HeapLayout int
@@ -299,9 +279,6 @@ func MustSpace(cfg Config) *Space {
 	return s
 }
 
-// Config returns the space configuration.
-func (s *Space) Config() Config { return s.cfg }
-
 // Banks returns the number of L3 banks.
 func (s *Space) Banks() int { return s.cfg.Banks }
 
@@ -313,11 +290,6 @@ func (s *Space) IOT() *IOT { return s.iot }
 // simulation. Generous enough for every experiment, small enough to keep
 // the simulated physical space plausible.
 const maxPoolReserve Addr = 1 << 33 // 8 GiB per pool
-
-// poolReserveChunk is the granularity pools grow their physical
-// reservation by; the reservation stays contiguous because it is claimed
-// from the bump pointer once, up front.
-const poolReserveChunk Addr = 1 << 24 // 16 MiB initial reservation
 
 // Pool returns the pool for a supported interleaving, creating it (with
 // its physical reservation and IOT entry) on first use. Each pool takes
@@ -594,9 +566,6 @@ func (s *Space) SetHomeOverride(va Addr, to int) error {
 	return nil
 }
 
-// HomeOverrides returns the number of installed migration overrides.
-func (s *Space) HomeOverrides() int { return len(s.overrides) }
-
 // KillBank marks a bank dead mid-run (the kill-bank fault). Subsequent
 // BankOfPhys lookups rehome its lines across the survivors exactly as a
 // build-time dead bank would, and BankAlive/AliveBanks — hence every
@@ -736,18 +705,6 @@ func (s *Space) WriteU32(va Addr, v uint32) {
 	}
 	binary.LittleEndian.PutUint32(b, v)
 }
-
-// ReadF32 loads the float32 at va.
-func (s *Space) ReadF32(va Addr) float32 { return math.Float32frombits(s.ReadU32(va)) }
-
-// WriteF32 stores a float32 at va.
-func (s *Space) WriteF32(va Addr, v float32) { s.WriteU32(va, math.Float32bits(v)) }
-
-// ReadF64 loads the float64 at va.
-func (s *Space) ReadF64(va Addr) float64 { return math.Float64frombits(s.ReadU64(va)) }
-
-// WriteF64 stores a float64 at va.
-func (s *Space) WriteF64(va Addr, v float64) { s.WriteU64(va, math.Float64bits(v)) }
 
 // ReadAddr loads a simulated pointer stored at va.
 func (s *Space) ReadAddr(va Addr) Addr { return Addr(s.ReadU64(va)) }

@@ -14,24 +14,6 @@ func newSpace(t *testing.T) *Space {
 	return s
 }
 
-func TestPoolIndexRoundTrip(t *testing.T) {
-	for idx := 0; idx < NumPools; idx++ {
-		il := InterleaveOf(idx)
-		got, err := PoolIndex(il)
-		if err != nil {
-			t.Fatalf("PoolIndex(%d): %v", il, err)
-		}
-		if got != idx {
-			t.Errorf("PoolIndex(%d) = %d, want %d", il, got, idx)
-		}
-	}
-	for _, bad := range []int{0, 32, 96, 8192, -64} {
-		if _, err := PoolIndex(bad); err == nil {
-			t.Errorf("PoolIndex(%d) succeeded, want error", bad)
-		}
-	}
-}
-
 func TestEq1BankMapping(t *testing.T) {
 	s := newSpace(t)
 	base, err := s.ExpandPool(64, 1<<20)
@@ -197,14 +179,6 @@ func TestReadWriteRoundTrip(t *testing.T) {
 		s.WriteU32(base+8, 42)
 		if got := s.ReadU32(base + 8); got != 42 {
 			t.Errorf("ReadU32 = %d", got)
-		}
-		s.WriteF32(base+16, 3.5)
-		if got := s.ReadF32(base + 16); got != 3.5 {
-			t.Errorf("ReadF32 = %v", got)
-		}
-		s.WriteF64(base+24, -2.25)
-		if got := s.ReadF64(base + 24); got != -2.25 {
-			t.Errorf("ReadF64 = %v", got)
 		}
 		s.WriteAddr(base+32, 0x123456)
 		if got := s.ReadAddr(base + 32); got != 0x123456 {

@@ -211,17 +211,6 @@ func (n *Network) Send(now engine.Time, from, to int, class Class, payloadBytes 
 	return arrive + engine.Time(flits-1)
 }
 
-// Latency estimates the uncontended latency of a message without sending
-// it (no counters are charged).
-func (n *Network) Latency(from, to int, payloadBytes int) engine.Time {
-	if from == to {
-		return n.cfg.LocalCycles
-	}
-	flits := n.Flits(payloadBytes)
-	hops := n.mesh.Hops(from, to)
-	return engine.Time(hops)*n.cfg.PerHopCycles + engine.Time(flits-1)
-}
-
 // Stats returns the per-class traffic counters.
 func (n *Network) Stats() [NumClasses]ClassStats { return n.classes }
 
@@ -234,34 +223,14 @@ func (n *Network) TotalFlitHops() uint64 {
 	return total
 }
 
-// Utilization returns the fraction of link-cycles carrying flits over an
-// elapsed window — the "NoC Util." dots in Figs 12, 13 and 20.
-func (n *Network) Utilization(elapsed engine.Time) float64 {
-	if elapsed == 0 {
-		return 0
-	}
-	return float64(n.TotalLinkFlits()) / (float64(n.mesh.NumLinks()) * float64(elapsed))
-}
-
 // TotalLinkFlits sums flits over every directed link — the numerator of
-// Utilization. Zero when ModelConflict is off (no per-link accounting).
+// the NoC utilization sys.Metrics reports. Zero when ModelConflict is off (no per-link accounting).
 func (n *Network) TotalLinkFlits() uint64 {
 	var flits uint64
 	for _, f := range n.linkFlits {
 		flits += f
 	}
 	return flits
-}
-
-// LinkFlits returns a copy of the per-directed-link flit counts, indexed
-// by topo.Mesh.LinkIndex — the per-link heatmap behind Fig 5. Each flit
-// traversal of a link is one hop, so this is also the per-link flit·hop
-// series. Only populated when ModelConflict is on (the default); the
-// fast path skips route enumeration.
-func (n *Network) LinkFlits() []uint64 {
-	out := make([]uint64, len(n.linkFlits))
-	copy(out, n.linkFlits)
-	return out
 }
 
 // PublishTelemetry publishes per-class traffic scalars and the per-link
@@ -276,15 +245,6 @@ func (n *Network) PublishTelemetry(r *telemetry.Registry) {
 	r.Set("noc_flit_hops", n.TotalFlitHops())
 	r.Set("noc_links", uint64(n.mesh.NumLinks()))
 	r.SetSeries("noc_link_flits", n.linkFlits)
-}
-
-// ResetStats clears traffic counters while keeping link schedules, so a
-// measurement window can exclude warmup.
-func (n *Network) ResetStats() {
-	n.classes = [NumClasses]ClassStats{}
-	for i := range n.linkFlits {
-		n.linkFlits[i] = 0
-	}
 }
 
 // Release hands the link windows back for the next network to reuse.

@@ -87,20 +87,6 @@ func TestLinkContentionDelays(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	n := newNet(t)
-	n.Send(0, 0, 1, Data, 64) // 3 flits on 1 link
-	util := n.Utilization(100)
-	want := 3.0 / (256.0 * 100.0)
-	if util < want*0.99 || util > want*1.01 {
-		t.Errorf("utilization %g, want %g", util, want)
-	}
-	n.ResetStats()
-	if n.TotalFlitHops() != 0 || n.Utilization(100) != 0 {
-		t.Error("ResetStats left counters")
-	}
-}
-
 // TestZeroConfigSelectsDefaults: a fully zero Config still means "the
 // Table-2 network".
 func TestZeroConfigSelectsDefaults(t *testing.T) {
@@ -130,16 +116,5 @@ func TestPartialConfigKeepsCallerFields(t *testing.T) {
 	// 1 hop x 7 cycles + 2 tail flits = 9.
 	if got := n.Send(0, 0, 1, Data, 64); got != 9 {
 		t.Errorf("1-hop send arrived at %d, want 9", got)
-	}
-}
-
-func TestLatencyEstimateChargesNothing(t *testing.T) {
-	n := newNet(t)
-	lat := n.Latency(0, 63, 64)
-	if lat != 30 {
-		t.Errorf("latency %d, want 30", lat)
-	}
-	if n.TotalFlitHops() != 0 {
-		t.Error("Latency charged traffic")
 	}
 }

@@ -45,9 +45,6 @@ func (tl *Timeline) Add(bank int, at engine.Time) {
 // Buckets returns the number of time buckets recorded.
 func (tl *Timeline) Buckets() int { return len(tl.counts) }
 
-// BucketWidth returns the bucket width in cycles.
-func (tl *Timeline) BucketWidth() engine.Time { return tl.bucket }
-
 // Dist summarizes the per-bank distribution within one bucket.
 type Dist struct {
 	Min, P25, Avg, P75, Max float64

@@ -67,12 +67,6 @@ func (s *AffineStream) ElemAddr(i int64) memsim.Addr {
 	return s.base + memsim.Addr(i*s.stride*int64(s.elemSize))
 }
 
-// Count returns the stream's trip count.
-func (s *AffineStream) Count() int64 { return s.count }
-
-// Bank returns the stream's current bank; only meaningful once started.
-func (s *AffineStream) Bank() int { return s.bank }
-
 // Start offloads the stream: SEcore configures it at the bank of its
 // first element. Calling Start more than once is a no-op.
 func (s *AffineStream) Start(now engine.Time) {

@@ -62,22 +62,6 @@ func (s *ChaseStream) Visit(addr memsim.Addr, nodeBytes int) engine.Time {
 	return s.t
 }
 
-// VisitAt is Visit with a floor on the stream's local time — used when a
-// new dependent chain (the next vertex's edge list) begins no earlier
-// than its inputs are available.
-func (s *ChaseStream) VisitAt(addr memsim.Addr, nodeBytes int, notBefore engine.Time) engine.Time {
-	if notBefore > s.t {
-		s.t = notBefore
-	}
-	return s.Visit(addr, nodeBytes)
-}
-
-// Bank returns the stream's current bank.
-func (s *ChaseStream) Bank() int { return s.bank }
-
-// Now returns the stream's local time.
-func (s *ChaseStream) Now() engine.Time { return s.t }
-
 // Visits returns how many nodes the stream has visited.
 func (s *ChaseStream) Visits() uint64 { return s.visits }
 

@@ -1,9 +1,6 @@
 package sys
 
-import (
-	"affinityalloc/internal/core"
-	"affinityalloc/internal/memsim"
-)
+import "affinityalloc/internal/memsim"
 
 // This file is the service-parity surface of System: everything a
 // placement server (internal/affinityd) needs to answer wire requests is
@@ -34,9 +31,4 @@ func (s *System) BankOf(addr memsim.Addr) int {
 // OpenPool ensures the interleave pool exists (see core.Runtime.OpenPool).
 func (s *System) OpenPool(interleave int) (*memsim.Pool, error) {
 	return s.RT.OpenPool(interleave)
-}
-
-// ArrayOf returns the layout record for an affine array's base address.
-func (s *System) ArrayOf(base memsim.Addr) (*core.ArrayInfo, bool) {
-	return s.RT.ArrayOf(base)
 }

@@ -15,8 +15,8 @@ func FuzzParseDocument(f *testing.F) {
 	valid := func() []byte {
 		d := &Document{SchemaVersion: SchemaVersion, Experiment: "fig4", Scale: "tiny", Seed: 1}
 		r := NewRegistry()
-		r.Add("cycles", 100)
-		r.Add("flit_hops", 7)
+		r.Set("cycles", 100)
+		r.Set("flit_hops", 7)
 		d.AddCell("vecadd/In-Core", r.Snapshot())
 		var buf bytes.Buffer
 		if err := d.WriteJSON(&buf); err != nil {

@@ -17,8 +17,6 @@
 // channels, cores).
 package telemetry
 
-import "sort"
-
 // Span is one sim-time phase for the trace exporter: a named interval in
 // cycles. TID groups spans onto one timeline row; exporters may reassign
 // it (e.g. one row per simulation cell).
@@ -64,11 +62,6 @@ func NewRegistry() *Registry {
 	}}
 }
 
-// Add accumulates delta into the named scalar counter.
-func (r *Registry) Add(name string, delta uint64) {
-	r.snap.Scalars[name] += delta
-}
-
 // Set stores an absolute scalar value (last write wins).
 func (r *Registry) Set(name string, v uint64) {
 	r.snap.Scalars[name] = v
@@ -106,12 +99,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	return &s
 }
 
-// Publisher is implemented by simulation components that can publish
-// their counters into a registry.
-type Publisher interface {
-	PublishTelemetry(r *Registry)
-}
-
 // Scalar returns the named scalar counter (zero if absent).
 func (s *Snapshot) Scalar(name string) uint64 {
 	if s == nil {
@@ -126,54 +113,4 @@ func (s *Snapshot) SeriesOf(name string) []uint64 {
 		return nil
 	}
 	return s.Series[name]
-}
-
-// ScalarNames returns the sorted scalar keys.
-func (s *Snapshot) ScalarNames() []string {
-	names := make([]string, 0, len(s.Scalars))
-	for k := range s.Scalars {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// SeriesNames returns the sorted series keys.
-func (s *Snapshot) SeriesNames() []string {
-	names := make([]string, 0, len(s.Series))
-	for k := range s.Series {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// SeriesSummary describes the shape of one series — the load-balance view
-// the paper's per-bank figures are about. All values are derived on call,
-// never stored.
-type SeriesSummary struct {
-	Sum, Max uint64
-	Mean     float64
-	// Imbalance is max/mean (1.0 = perfectly balanced); 0 for an empty or
-	// all-zero series.
-	Imbalance float64
-}
-
-// Summarize computes the summary of a series.
-func Summarize(vals []uint64) SeriesSummary {
-	var s SeriesSummary
-	if len(vals) == 0 {
-		return s
-	}
-	for _, v := range vals {
-		s.Sum += v
-		if v > s.Max {
-			s.Max = v
-		}
-	}
-	s.Mean = float64(s.Sum) / float64(len(vals))
-	if s.Mean > 0 {
-		s.Imbalance = float64(s.Max) / s.Mean
-	}
-	return s
 }

@@ -8,14 +8,9 @@ import (
 
 func TestRegistryScalars(t *testing.T) {
 	r := NewRegistry()
-	r.Add("hits", 3)
-	r.Add("hits", 4)
 	r.Set("cycles", 100)
 	r.Set("cycles", 200)
 	s := r.Snapshot()
-	if s.Scalar("hits") != 7 {
-		t.Errorf("hits = %d, want 7", s.Scalar("hits"))
-	}
 	if s.Scalar("cycles") != 200 {
 		t.Errorf("cycles = %d, want 200 (last write wins)", s.Scalar("cycles"))
 	}
@@ -45,23 +40,13 @@ func TestNilSnapshotAccessors(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	sm := Summarize([]uint64{0, 2, 4, 10})
-	if sm.Sum != 16 || sm.Max != 10 || sm.Mean != 4 || sm.Imbalance != 2.5 {
-		t.Errorf("summary = %+v", sm)
-	}
-	if z := Summarize(nil); z.Imbalance != 0 || z.Sum != 0 {
-		t.Errorf("empty summary = %+v", z)
-	}
-}
-
 // TestSnapshotJSONDeterministic: two marshals of the same snapshot are
 // byte-identical (map keys sort), the property the metrics document
 // byte-identity guarantee rests on.
 func TestSnapshotJSONDeterministic(t *testing.T) {
 	r := NewRegistry()
 	for _, k := range []string{"zeta", "alpha", "mid", "beta"} {
-		r.Add(k, 1)
+		r.Set(k, 1)
 	}
 	r.SetSeries("series_b", []uint64{1, 2})
 	r.SetSeries("series_a", []uint64{3})

@@ -41,7 +41,6 @@ func (n Numbering) String() string {
 // after construction and safe for concurrent use.
 type Mesh struct {
 	width, height int
-	numbering     Numbering
 	bankToCoord   []Coord
 	coordToBank   []int // indexed by y*width+x
 }
@@ -61,7 +60,6 @@ func NewMesh(width, height int, numbering Numbering) (*Mesh, error) {
 	m := &Mesh{
 		width:       width,
 		height:      height,
-		numbering:   numbering,
 		bankToCoord: make([]Coord, width*height),
 		coordToBank: make([]int, width*height),
 	}
@@ -107,9 +105,6 @@ func (m *Mesh) Height() int { return m.height }
 // Banks returns the total number of banks (== tiles).
 func (m *Mesh) Banks() int { return m.width * m.height }
 
-// Numbering reports the bank numbering scheme.
-func (m *Mesh) Numbering() Numbering { return m.numbering }
-
 // CoordOf returns the mesh coordinate of a bank.
 func (m *Mesh) CoordOf(bank int) Coord {
 	return m.bankToCoord[bank]
@@ -124,11 +119,6 @@ func (m *Mesh) BankAt(c Coord) int {
 // number of link traversals under X-Y dimension-ordered routing.
 func (m *Mesh) Hops(from, to int) int {
 	a, b := m.bankToCoord[from], m.bankToCoord[to]
-	return abs(a.X-b.X) + abs(a.Y-b.Y)
-}
-
-// HopsCoord returns the Manhattan distance between two coordinates.
-func HopsCoord(a, b Coord) int {
 	return abs(a.X-b.X) + abs(a.Y-b.Y)
 }
 
