@@ -7,9 +7,6 @@ import (
 
 const noLine = ^memsim.Addr(0)
 
-// DebugFetch, when non-nil, observes every line fetch (test aid).
-var DebugFetch func(coreTile, bank int, t, notBefore, inflight, start, done uint64)
-
 // AffineStream is a load or store stream over a strided element sequence
 // (sa = A[0:N] in Fig 2). It executes at the L3 bank holding its current
 // cache line, fetching (or writing) one line at a time, migrating between
@@ -116,9 +113,6 @@ func (s *AffineStream) fetchLine(line memsim.Addr, notBefore engine.Time) {
 	// Flow control: wait for the oldest in-flight line to drain.
 	start = engine.MaxTime(start, s.inflight[s.inIdx])
 	done, _ := s.eng.mem.AccessAt(start, s.bank, line, s.write)
-	if DebugFetch != nil {
-		DebugFetch(s.coreTile, s.bank, uint64(s.t), uint64(notBefore), uint64(s.inflight[s.inIdx]), uint64(start), uint64(done))
-	}
 	s.inflight[s.inIdx] = done
 	s.inIdx = (s.inIdx + 1) % len(s.inflight)
 	s.t = start + 1 // pipelined issue; bank occupancy is inside AccessAt
