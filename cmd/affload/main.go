@@ -10,7 +10,7 @@
 //	affload -chaos -daemon ./affinityd -journal DIR [-kills 3]
 //	        [-stalls 2] [-streams 4] [-ops 512] [-batch 16] [-seed N]
 //
-//	affload -trace run.jsonl [-batch 16] [-keep] [-timeout 30s]
+//	affload -trace run.afftrace [-batch 16] [-keep] [-timeout 30s]
 //
 // Each stream registers its own machine (tenant isolation) and drives a
 // seeded, deterministic request sequence — the same -seed always sends

@@ -10,8 +10,8 @@
 //	affsim ... [-faults dead-banks=2,dead-links=2] (degraded-substrate runs)
 //	affsim ... [-realloc epoch=2000,threshold=0.25] (online re-allocation)
 //	affsim ... [-metrics-out m.json] [-trace-out t.json] [-pprof cpu.prof]
-//	affsim ... [-record run.jsonl] (record an afftrace/v1 scenario trace)
-//	affsim -replay run.jsonl (re-drive a recorded trace; verifies placements)
+//	affsim ... [-record run.afftrace] (record an afftrace/v1 scenario trace)
+//	affsim -replay run.afftrace (re-drive a recorded trace; verifies placements)
 //	affsim -validate-metrics m.json
 //
 // Independent simulation cells (workload × configuration runs) execute

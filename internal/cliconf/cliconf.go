@@ -105,7 +105,7 @@ func Register(fs *flag.FlagSet, which Flags) *Config {
 		fs.BoolVar(&c.Timing, "timing", false, "report per-cell wall time and sim-cycles/s on stderr")
 	}
 	if which&FlagRecord != 0 {
-		fs.StringVar(&c.RecordOut, "record", "", "record an afftrace/v1 scenario trace of every simulation cell to this file (.jsonl for text, anything else binary)")
+		fs.StringVar(&c.RecordOut, "record", "", "record an afftrace/v1 scenario trace of every simulation cell to this file (binary, whatever the extension)")
 	}
 	if which&FlagReplay != 0 {
 		fs.StringVar(&c.ReplayIn, "replay", "", "replay a recorded afftrace/v1 trace instead of simulating, verifying placements against the recording")

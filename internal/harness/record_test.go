@@ -2,8 +2,10 @@ package harness
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"testing"
 
 	"affinityalloc/internal/faults"
@@ -12,7 +14,7 @@ import (
 )
 
 // fig4TraceAndReport runs the Fig-4 experiment with recording on and
-// returns (JSONL trace bytes, rendered figure bytes).
+// returns (binary trace bytes, rendered figure bytes).
 func fig4TraceAndReport(t *testing.T, jobs int, fspec string) ([]byte, []byte) {
 	t.Helper()
 	opt := Options{Scale: Tiny, Seed: 1, Jobs: jobs}
@@ -31,7 +33,7 @@ func fig4TraceAndReport(t *testing.T, jobs int, fspec string) ([]byte, []byte) {
 	}
 	var buf bytes.Buffer
 	fig.Render(&buf)
-	return trace.EncodeJSONL(col.Trace()), buf.Bytes()
+	return trace.Encode(col.Trace()), buf.Bytes()
 }
 
 // The record→replay differential gate, as a table across three axes:
@@ -64,15 +66,14 @@ func TestRecordReplayGate(t *testing.T) {
 				if len(r.tr1) == 0 {
 					t.Fatal("empty recorded trace")
 				}
-				orig, err := trace.ParseJSONL(r.tr1)
+				orig, err := trace.Decode(r.tr1)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if len(orig.Scenarios) == 0 {
 					t.Fatal("no scenarios recorded")
 				}
-				legacy := bytes.ReplaceAll(r.tr1, []byte(`"mesh_w":`), []byte(fmt.Sprintf(`"shards":%d,"mesh_w":`, shards)))
-				decoded, err := trace.ParseJSONL(legacy)
+				decoded, err := trace.Decode(withShardSlots(t, r.tr1, byte(shards)))
 				if err != nil {
 					t.Fatalf("trace with shards=%d headers: %v", shards, err)
 				}
@@ -94,6 +95,44 @@ func TestRecordReplayGate(t *testing.T) {
 			})
 		}
 	}
+}
+
+// withShardSlots returns a copy of bin, a binary afftrace/v1 trace,
+// with the retired shard-count slot of every scenario header set to n
+// (below 128, so its uvarint stays one byte) and each patched frame's
+// Castagnoli CRC re-sealed: the bytes a recording made while headers
+// still named a kernel shard count carries. The slot follows the label,
+// mode, mesh_w, mesh_h, seed, policy and faults fields.
+func withShardSlots(t *testing.T, bin []byte, n byte) []byte {
+	t.Helper()
+	out := append([]byte(nil), bin...)
+	patched := 0
+	for p := len("AFFTRC1\n"); p < len(out); {
+		size, sz := binary.Uvarint(out[p:])
+		payload := out[p+sz : p+sz+int(size)]
+		p += sz + int(size) + 4
+		if payload[0] != 1 { // not a scenario frame
+			continue
+		}
+		q := 1
+		for _, isStr := range []bool{true, true, false, false, false, true, true} {
+			v, k := binary.Uvarint(payload[q:])
+			q += k
+			if isStr {
+				q += int(v)
+			}
+		}
+		if payload[q] != 0 {
+			t.Fatalf("binary header layout changed: byte %d of a scenario frame is not the shard slot's 0", q)
+		}
+		payload[q] = n
+		binary.LittleEndian.PutUint32(out[p-4:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+		patched++
+	}
+	if patched == 0 {
+		t.Fatal("trace has no scenario header to patch")
+	}
+	return out
 }
 
 // Recording must not perturb results: the same experiment with and

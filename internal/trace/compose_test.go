@@ -21,8 +21,8 @@ func TestComposeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1 := trace.EncodeJSONL(&trace.Trace{Scenarios: []*trace.Scenario{c1}})
-	e2 := trace.EncodeJSONL(&trace.Trace{Scenarios: []*trace.Scenario{c2}})
+	e1 := trace.Encode(&trace.Trace{Scenarios: []*trace.Scenario{c1}})
+	e2 := trace.Encode(&trace.Trace{Scenarios: []*trace.Scenario{c2}})
 	if !bytes.Equal(e1, e2) {
 		t.Error("same seed composed differently")
 	}
@@ -30,7 +30,7 @@ func TestComposeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e3 := trace.EncodeJSONL(&trace.Trace{Scenarios: []*trace.Scenario{c3}})
+	e3 := trace.Encode(&trace.Trace{Scenarios: []*trace.Scenario{c3}})
 	if bytes.Equal(e1, e3) {
 		t.Error("different seeds composed identically (interleave not seeded?)")
 	}
@@ -102,8 +102,8 @@ func TestComposeRejectsMultiTenantInput(t *testing.T) {
 func TestNoisyNeighbor(t *testing.T) {
 	n1 := trace.NoisyNeighbor(trace.NoiseSpec{Seed: 5})
 	n2 := trace.NoisyNeighbor(trace.NoiseSpec{Seed: 5})
-	e1 := trace.EncodeJSONL(&trace.Trace{Scenarios: []*trace.Scenario{n1}})
-	e2 := trace.EncodeJSONL(&trace.Trace{Scenarios: []*trace.Scenario{n2}})
+	e1 := trace.Encode(&trace.Trace{Scenarios: []*trace.Scenario{n1}})
+	e2 := trace.Encode(&trace.Trace{Scenarios: []*trace.Scenario{n2}})
 	if !bytes.Equal(e1, e2) {
 		t.Error("noisy neighbor is not deterministic")
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // fuzzSeed builds a small hand-made trace exercising every event kind,
-// so the fuzzers start from structurally interesting corpora without
+// so the fuzzer starts from a structurally interesting corpus without
 // paying for a simulation per worker process.
 func fuzzSeed() *trace.Trace {
 	sc := trace.NoisyNeighbor(trace.NoiseSpec{Seed: 1, Bytes: 1 << 16, Bursts: 1, Flows: 4})
@@ -27,9 +27,11 @@ func fuzzSeed() *trace.Trace {
 }
 
 // FuzzTraceDecode hammers the framed-binary decoder: arbitrary bytes
-// must never panic or over-allocate, and anything accepted must be
-// valid and re-encode/decode to the same trace (canonical form is a
-// fixed point).
+// must never panic or over-allocate, input without the binary magic is
+// refused, and anything accepted must be valid and re-encode/decode to
+// the same trace (canonical form is a fixed point). The seed corpus in
+// testdata/fuzz/FuzzTraceDecode also holds the example trace in the
+// JSONL text form afftrace/v1 files once had, which must be refused.
 func FuzzTraceDecode(f *testing.F) {
 	seed := trace.Encode(fuzzSeed())
 	f.Add(seed)
@@ -44,6 +46,9 @@ func FuzzTraceDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if !bytes.HasPrefix(data, []byte("AFFTRC1\n")) {
+			t.Fatal("Decode accepted input without the binary magic")
+		}
 		if verr := tr.Validate(); verr != nil {
 			t.Fatalf("Decode accepted an invalid trace: %v", verr)
 		}
@@ -54,33 +59,6 @@ func FuzzTraceDecode(f *testing.F) {
 		}
 		if !bytes.Equal(trace.Encode(tr2), re) {
 			t.Fatal("re-encoding is not a fixed point")
-		}
-	})
-}
-
-// FuzzTraceParseJSONL does the same for the JSONL parser.
-func FuzzTraceParseJSONL(f *testing.F) {
-	seed := trace.EncodeJSONL(fuzzSeed())
-	f.Add(seed)
-	f.Add([]byte(`{"format":"afftrace/v1"}`))
-	f.Add([]byte(`{"format":"afftrace/v1"}` + "\n" + `{"scenario":{"label":"x","mode":"Aff-Alloc","mesh_w":8,"mesh_h":8,"seed":1}}`))
-	f.Add([]byte(`{"format":"afftrace/v9"}`))
-	f.Add([]byte("{}"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := trace.ParseJSONL(data)
-		if err != nil {
-			return
-		}
-		if verr := tr.Validate(); verr != nil {
-			t.Fatalf("ParseJSONL accepted an invalid trace: %v", verr)
-		}
-		re := trace.EncodeJSONL(tr)
-		tr2, err := trace.ParseJSONL(re)
-		if err != nil {
-			t.Fatalf("re-encoded trace failed to parse: %v", err)
-		}
-		if !bytes.Equal(trace.EncodeJSONL(tr2), re) {
-			t.Fatal("JSONL re-encoding is not a fixed point")
 		}
 	})
 }

@@ -31,16 +31,12 @@ func recordUnder(t *testing.T, w workloads.Workload, mode sys.Mode, seed int64, 
 }
 
 // withShardSlot returns sc as a trace written while scenario headers
-// still named a kernel shard count would carry it: JSONL-encoded with
-// "shards":n in the header, then decoded again.
+// still named a kernel shard count would carry it: binary-encoded with
+// n in the header's retired shard slot, then decoded again.
 func withShardSlot(t *testing.T, sc *trace.Scenario, n int) *trace.Scenario {
 	t.Helper()
-	enc := trace.EncodeJSONL(&trace.Trace{Scenarios: []*trace.Scenario{sc}})
-	patched := bytes.Replace(enc, []byte(`"mesh_w":`), []byte(fmt.Sprintf(`"shards":%d,"mesh_w":`, n)), 1)
-	if bytes.Equal(patched, enc) {
-		t.Fatal("encoded scenario has no header to patch")
-	}
-	tr, err := trace.ParseJSONL(patched)
+	enc := trace.Encode(&trace.Trace{Scenarios: []*trace.Scenario{sc}})
+	tr, err := trace.Decode(withShardSlots(t, enc, byte(n)))
 	if err != nil {
 		t.Fatalf("header with shards=%d: %v", n, err)
 	}
@@ -89,29 +85,20 @@ func TestReplayPlacementIdentity(t *testing.T) {
 	}
 }
 
-// A round trip through both encodings must not perturb replay.
+// A round trip through the encoding must not perturb replay.
 func TestReplayAfterEncodeRoundTrip(t *testing.T) {
 	sc := recordUnder(t, tinyHashJoin(), sys.AffAlloc, 1, "")
 	want := trace.RecordedDump(sc)
-	tr := &trace.Trace{Scenarios: []*trace.Scenario{sc}}
-	for _, enc := range []struct {
-		name string
-		data []byte
-	}{
-		{"binary", trace.Encode(tr)},
-		{"jsonl", trace.EncodeJSONL(tr)},
-	} {
-		got, err := trace.DecodeAny(enc.data)
-		if err != nil {
-			t.Fatalf("%s: %v", enc.name, err)
-		}
-		res, err := trace.Replay(got.Scenarios[0], trace.Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", enc.name, err)
-		}
-		if !bytes.Equal(res.PlacementDump(), want) {
-			t.Errorf("%s: decoded scenario replays differently", enc.name)
-		}
+	got, err := trace.Decode(trace.Encode(&trace.Trace{Scenarios: []*trace.Scenario{sc}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := trace.Replay(got.Scenarios[0], trace.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.PlacementDump(), want) {
+		t.Error("decoded scenario replays differently")
 	}
 }
 

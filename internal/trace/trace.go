@@ -23,9 +23,9 @@
 // draw sequence — walks the identical state trajectory. Those two
 // properties are the replay differential gate pinning this package.
 //
-// Two interchangeable encodings exist: a length-framed, CRC-checked
-// binary stream (compact, fuzzed) and JSONL (greppable, diffable,
-// committed as golden test data). ReadFile/Decode auto-detect.
+// One encoding carries a trace: a length-framed, CRC-checked binary
+// stream (binary.go), fuzzed, and pinned by the committed example
+// trace in testdata. ReadFile and WriteFile use it whatever the path.
 package trace
 
 import (
@@ -67,102 +67,103 @@ const (
 // Elem of an affine target (the wire-convertible form); otherwise Off
 // is a byte offset from the target's base.
 type Ref struct {
-	Ref  int64  `json:"ref,omitempty"`
-	Elem int64  `json:"elem"`
-	Off  int64  `json:"off,omitempty"`
-	Raw  uint64 `json:"raw,omitempty"`
+	Ref  int64
+	Elem int64
+	Off  int64
+	Raw  uint64
 }
 
 // Touch is one chunk's access count within an access-summary event.
 type Touch struct {
-	Chunk  int64  `json:"c"`
-	Reads  uint32 `json:"r,omitempty"`
-	Writes uint32 `json:"w,omitempty"`
+	Chunk  int64
+	Reads  uint32
+	Writes uint32
 }
 
 // Flow is one aggregated stream-issue edge (offload config packets from
 // a core tile to a first bank, or stream-state migrations bank→bank).
 type Flow struct {
-	From int    `json:"from"`
-	To   int    `json:"to"`
-	N    uint32 `json:"n"`
+	From int
+	To   int
+	N    uint32
 }
 
 // Event is one trace record. Kind selects which fields are meaningful;
-// unused fields stay at their zero value and are omitted on the wire.
+// unused fields stay at their zero value, and the encoding writes only
+// the fields of the event's kind.
 type Event struct {
-	Kind string `json:"ev"`
+	Kind string
 	// Tenant tags composed scenarios; single-tenant recordings use 0.
-	Tenant int `json:"tenant,omitempty"`
+	Tenant int
 
 	// KindOpenPool.
-	Interleave int `json:"interleave,omitempty"`
+	Interleave int
 
 	// KindAlloc. The event's allocation ID is implicit: the 1-based
 	// count of KindAlloc events of the same tenant up to and including
 	// this one. Mode, when set, overrides the scenario mode for this
 	// allocation (recorded tenant streams mix modes per request).
-	Op       string `json:"op,omitempty"`
-	Mode     string `json:"mode,omitempty"`
-	ElemSize int    `json:"elem_size,omitempty"`
-	NumElem  int64  `json:"num_elem,omitempty"`
-	AlignRef int64  `json:"align_ref,omitempty"`
-	AlignRaw uint64 `json:"align_raw,omitempty"`
-	AlignP   int    `json:"align_p,omitempty"`
-	AlignQ   int    `json:"align_q,omitempty"`
-	AlignX   int64  `json:"align_x,omitempty"`
-	Part     bool   `json:"part,omitempty"`
-	Size     int64  `json:"size,omitempty"`
-	Bank     int    `json:"bank,omitempty"`
-	Affinity []Ref  `json:"aff,omitempty"`
+	Op       string
+	Mode     string
+	ElemSize int
+	NumElem  int64
+	AlignRef int64
+	AlignRaw uint64
+	AlignP   int
+	AlignQ   int
+	AlignX   int64
+	Part     bool
+	Size     int64
+	Bank     int
+	Affinity []Ref
 	// Recorded outcome, kept for the record→replay placement identity
 	// gate (replay recomputes these and byte-compares the dumps).
-	Base       uint64 `json:"base,omitempty"`
-	ResIl      int    `json:"il,omitempty"`
-	Stride     int    `json:"stride,omitempty"`
-	StartBank  int    `json:"start_bank,omitempty"`
-	PageMapped bool   `json:"page_mapped,omitempty"`
-	Err        string `json:"err,omitempty"`
+	Base       uint64
+	ResIl      int
+	Stride     int
+	StartBank  int
+	PageMapped bool
+	Err        string
 
 	// KindFree. Ref is the allocation-event ID being released; Raw holds
 	// the original address when the free did not match a live recorded
 	// allocation (replay re-drives it verbatim to reproduce the error).
-	Ref int64  `json:"ref,omitempty"`
-	Raw uint64 `json:"raw,omitempty"`
+	Ref int64
+	Raw uint64
 
 	// KindAccess: chunk-granular touch counts against allocation Ref
 	// (0 = wild access; Chunk then holds an absolute line index).
 	// KindPreload reuses Ref/Off/Size.
-	Gran    int64   `json:"gran,omitempty"`
-	Off     int64   `json:"off,omitempty"`
-	Touches []Touch `json:"touches,omitempty"`
+	Gran    int64
+	Off     int64
+	Touches []Touch
 
 	// KindStream: aggregated offload and migration flows.
-	Offloads []Flow `json:"offloads,omitempty"`
-	Migs     []Flow `json:"migs,omitempty"`
+	Offloads []Flow
+	Migs     []Flow
 }
 
 // Scenario is one recorded (or composed) run: the configuration it was
 // captured under plus its ordered event stream.
 type Scenario struct {
-	Label string `json:"label"`
+	Label string
 	// Mode is the execution mode the scenario was recorded under
 	// (sys.Mode spelling). Replay may override it.
-	Mode string `json:"mode"`
+	Mode string
 	// Machine shape and determinism inputs, enough to rebuild an
 	// equivalent sys.Config on top of sys.DefaultConfig.
-	MeshW  int    `json:"mesh_w"`
-	MeshH  int    `json:"mesh_h"`
-	Seed   int64  `json:"seed"`
-	Policy string `json:"policy,omitempty"`
-	Faults string `json:"faults,omitempty"`
+	MeshW  int
+	MeshH  int
+	Seed   int64
+	Policy string
+	Faults string
 	// Tenants names the interleaved tenants of a composed scenario;
 	// empty means single-tenant (tenant 0 = Label).
-	Tenants []string `json:"tenants,omitempty"`
+	Tenants []string
 	// Cycles is the recorded run's finish time (informational).
-	Cycles uint64 `json:"cycles,omitempty"`
+	Cycles uint64
 
-	Events []Event `json:"-"`
+	Events []Event
 }
 
 // Trace is a sequence of scenarios.
