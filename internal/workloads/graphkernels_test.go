@@ -25,7 +25,10 @@ type graphKernelCase struct {
 // graphKernelCases lists the traversal variants no figure runs as a
 // whole: both PageRank directions, BFS switching/push-only/pull-only,
 // SSSP, the Fig-9 ablations under Aff-Alloc, and the Fig-6 oracle on the
-// CSR modes for each of the five push/pull traversals.
+// CSR modes for each of the five push/pull traversals. After them come
+// the pointer-chase kernels in every mode at small sizes: link_list with
+// missing keys, bin_tree, and hash_join at the paper's 1/8 hit rate and
+// at 0.25, a probe mix no figure runs.
 func graphKernelCases() []graphKernelCase {
 	g := graph.Kronecker(10, 8, 42)
 	gt := g.Transpose()
@@ -61,13 +64,19 @@ func graphKernelCases() []graphKernelCase {
 			graphKernelCase{"sssp" + sfx, sssp(o), csr},
 		)
 	}
-	return cases
+	return append(cases,
+		graphKernelCase{"link_list", LinkList{Lists: 32, Nodes: 48, Queries: 2, MissRate: 0.125}, all},
+		graphKernelCase{"bin_tree", BinTree{Keys: 1 << 10, Lookups: 2 << 10}, all},
+		graphKernelCase{"hash_join", HashJoin{BuildRows: 1 << 10, ProbeRows: 2 << 10, Buckets: 1 << 8, HitRate: 1.0 / 8}, all},
+		graphKernelCase{"hash_join_hit0.25", HashJoin{BuildRows: 1 << 10, ProbeRows: 2 << 10, Buckets: 1 << 8, HitRate: 0.25}, all},
+	)
 }
 
 // TestGraphKernelTable pins cycles, total flit-hops, L3 accesses and the
-// checksum of every graph-kernel variant on a scale-10 Kronecker graph.
-// Any change to a traversal's timing or traffic shows up as a diff. To
-// bless an intentional change:
+// checksum of every graph-kernel variant on a scale-10 Kronecker graph,
+// and of every pointer-chase kernel on its small structure. Any change to
+// a traversal's timing or traffic shows up as a diff. To bless an
+// intentional change:
 //
 //	go test ./internal/workloads -run TestGraphKernelTable -update
 func TestGraphKernelTable(t *testing.T) {
