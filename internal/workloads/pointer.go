@@ -15,6 +15,75 @@ import (
 // pointer-chasing workloads.
 const chaseWindow = 4
 
+// A hop is one node a pointer-chase query loads: its address and size,
+// the access kind an In-Core core issues for it, and the ALU ops the
+// core then spends on it.
+type hop struct {
+	addr  memsim.Addr
+	bytes int
+	kind  cpu.AccessKind
+	ops   int
+}
+
+// A chaseQuery appends to hops the nodes query i visits, in order, and
+// returns them with the chase's root, the address a near-stream chase is
+// offloaded to. A query is lowered before the next one runs, so buffers
+// may be reused from one query to the next.
+type chaseQuery func(i int, hops []hop) ([]hop, memsim.Addr)
+
+// chaseMap runs n pointer-chase queries and returns the cycle the last
+// one finished. Core c takes queries c, c+nC, … in interleaved turns.
+// The map owns the queries' lowering, once per configuration:
+//
+//   - In-Core: the core loads each hop and computes on it;
+//   - Near-L3 and Aff-Alloc: one ChaseStream per query, offloaded to its
+//     root and visiting every hop, with at most chaseWindow queries in
+//     flight per core.
+//
+// Aff-Alloc differs from Near-L3 only in where the structure's nodes
+// were allocated.
+func chaseMap(s *sys.System, mode sys.Mode, n int, query chaseQuery) engine.Time {
+	nC := s.NumCores()
+	next := make([]int, nC)
+	var hops []hop
+	windows := make([]*stream.OpWindow, nC)
+	for c := range next {
+		next[c] = c
+		windows[c] = stream.NewOpWindow(chaseWindow)
+	}
+	var finish engine.Time
+	interleaved(nC, func(c int) bool {
+		i := next[c]
+		if i >= n {
+			return false
+		}
+		next[c] = i + nC
+		var root memsim.Addr
+		hops, root = query(i, hops[:0])
+		if mode == sys.InCore {
+			cc := s.Cores[c]
+			for _, h := range hops {
+				cc.Load(h.addr, h.kind)
+				cc.Compute(h.ops)
+			}
+			return next[c] < n
+		}
+		ch := stream.NewChaseStream(s.SE, c)
+		ch.Start(windows[c].Issue(0), root)
+		for _, h := range hops {
+			ch.Visit(h.addr, h.bytes)
+		}
+		done := ch.Terminate()
+		windows[c].Complete(done)
+		finish = max(finish, done)
+		return next[c] < n
+	})
+	if mode == sys.InCore {
+		return coreFinish(s.Cores)
+	}
+	return finish
+}
+
 // dalloc builds the mode-appropriate dstruct allocator.
 func dalloc(s *sys.System, mode sys.Mode) dstruct.Alloc {
 	return dstruct.Alloc{RT: s.RT, Affinity: mode == sys.AffAlloc}
@@ -91,73 +160,19 @@ func (w LinkList) Run(s *sys.System, mode sys.Mode) (Result, error) {
 	rng.Shuffle(len(queries), func(i, j int) { queries[i], queries[j] = queries[j], queries[i] })
 
 	cs := newChecksum()
-	var finish engine.Time
-	nC := s.NumCores()
-
-	if mode == sys.InCore {
-		next := make([]int, nC)
-		for c := range next {
-			next[c] = c
-		}
-		interleaved(nC, func(c int) bool {
-			qi := next[c]
-			if qi >= len(queries) {
-				return false
-			}
-			next[c] = qi + nC
-			q := queries[qi]
-			cc := s.Cores[c]
-			found := uint64(0)
-			for addr := lists[q.list].Head(); addr != 0; addr = lists[q.list].Next(addr) {
-				cc.Load(addr, cpu.Dependent)
-				cc.Compute(2)
-				if lists[q.list].Key(addr) == q.target {
-					found = 1
-					break
-				}
-			}
-			cs.addU64(found)
-			return next[c] < len(queries)
-		})
-		finish = coreFinish(s.Cores)
-		return Result{Name: w.Name(), Mode: mode, Metrics: s.Collect(finish), Checksum: cs.sum()}, nil
-	}
-
-	// NSC: one pointer-chasing stream per query, issued from the
-	// querying core, windowed per core.
-	type coreState struct {
-		next   int
-		window *stream.OpWindow
-	}
-	states := make([]*coreState, nC)
-	for c := range states {
-		states[c] = &coreState{next: c, window: stream.NewOpWindow(chaseWindow)}
-	}
-	interleaved(nC, func(c int) bool {
-		st := states[c]
-		if st.next >= len(queries) {
-			return false
-		}
-		q := queries[st.next]
-		st.next += nC
-		start := st.window.Issue(0)
-		ch := stream.NewChaseStream(s.SE, c)
-		ch.Start(start, lists[q.list].Head())
+	finish := chaseMap(s, mode, len(queries), func(i int, hops []hop) ([]hop, memsim.Addr) {
+		q := queries[i]
+		l := lists[q.list]
 		found := uint64(0)
-		for addr := lists[q.list].Head(); addr != 0; addr = lists[q.list].Next(addr) {
-			ch.Visit(addr, dstruct.ListNodeBytes)
-			if lists[q.list].Key(addr) == q.target {
+		for addr := l.Head(); addr != 0; addr = l.Next(addr) {
+			hops = append(hops, hop{addr, dstruct.ListNodeBytes, cpu.Dependent, 2})
+			if l.Key(addr) == q.target {
 				found = 1
 				break
 			}
 		}
-		done := ch.Terminate()
 		cs.addU64(found)
-		st.window.Complete(done)
-		if done > finish {
-			finish = done
-		}
-		return st.next < len(queries)
+		return hops, l.Head()
 	})
 	return Result{Name: w.Name(), Mode: mode, Metrics: s.Collect(finish), Checksum: cs.sum()}, nil
 }
@@ -201,8 +216,9 @@ func (w HashJoin) Run(s *sys.System, mode sys.Mode) (Result, error) {
 	}
 	// Warm table into the LLC: bucket array + every chain node.
 	s.Mem.Preload(ht.BucketAddr(0), 8*w.Buckets)
+	var p []memsim.Addr
 	for k := int64(0); k < w.BuildRows; k++ {
-		_, p, _, _ := ht.ProbePath(uint64(k)*2+1, nil)
+		_, p, _, _ = ht.ProbePath(uint64(k)*2+1, p[:0])
 		preloadLines(s, p, dstruct.HashNodeBytes)
 	}
 
@@ -218,73 +234,20 @@ func (w HashJoin) Run(s *sys.System, mode sys.Mode) (Result, error) {
 
 	cs := newChecksum()
 	var matches uint64
-	var finish engine.Time
-	nC := s.NumCores()
-
-	if mode == sys.InCore {
-		next := make([]int, nC)
-		for c := range next {
-			next[c] = c
+	finish := chaseMap(s, mode, len(probes), func(i int, hops []hop) ([]hop, memsim.Addr) {
+		slot, path, v, ok := ht.ProbePath(probes[i], p[:0])
+		p = path
+		// The bucket's head pointer, then the chain.
+		hops = append(hops, hop{slot, 8, cpu.Irregular, 0})
+		for _, addr := range path {
+			hops = append(hops, hop{addr, dstruct.HashNodeBytes, cpu.Dependent, 2})
 		}
-		interleaved(nC, func(c int) bool {
-			pi := next[c]
-			if pi >= len(probes) {
-				return false
-			}
-			next[c] = pi + nC
-			cc := s.Cores[c]
-			key := probes[pi]
-			slot, p, v, ok := ht.ProbePath(key, nil)
-			cc.Load(slot, cpu.Irregular)
-			for _, addr := range p {
-				cc.Load(addr, cpu.Dependent)
-				cc.Compute(2)
-			}
-			if ok {
-				matches++
-				cs.addU64(v)
-			}
-			return next[c] < len(probes)
-		})
-		finish = coreFinish(s.Cores)
-	} else {
-		type coreState struct {
-			next   int
-			window *stream.OpWindow
+		if ok {
+			matches++
+			cs.addU64(v)
 		}
-		states := make([]*coreState, nC)
-		for c := range states {
-			states[c] = &coreState{next: c, window: stream.NewOpWindow(chaseWindow)}
-		}
-		interleaved(nC, func(c int) bool {
-			st := states[c]
-			if st.next >= len(probes) {
-				return false
-			}
-			key := probes[st.next]
-			st.next += nC
-			start := st.window.Issue(0)
-			slot, p, v, ok := ht.ProbePath(key, nil)
-			// The probe is offloaded to the bucket's bank, then chases
-			// the chain; the verdict returns to the core.
-			ch := stream.NewChaseStream(s.SE, c)
-			ch.Start(start, slot)
-			ch.Visit(slot, 8) // bucket head pointer
-			for _, addr := range p {
-				ch.Visit(addr, dstruct.HashNodeBytes)
-			}
-			done := ch.Terminate()
-			if ok {
-				matches++
-				cs.addU64(v)
-			}
-			st.window.Complete(done)
-			if done > finish {
-				finish = done
-			}
-			return st.next < len(probes)
-		})
-	}
+		return hops, slot
+	})
 	cs.addU64(matches)
 	return Result{Name: w.Name(), Mode: mode, Metrics: s.Collect(finish), Checksum: cs.sum()}, nil
 }
@@ -339,69 +302,17 @@ func (w BinTree) Run(s *sys.System, mode sys.Mode) (Result, error) {
 	}
 
 	cs := newChecksum()
-	var finish engine.Time
-	nC := s.NumCores()
-	paths := make([][]memsim.Addr, nC)
-
-	if mode == sys.InCore {
-		next := make([]int, nC)
-		for c := range next {
-			next[c] = c
+	var p []memsim.Addr
+	finish := chaseMap(s, mode, len(lookups), func(i int, hops []hop) ([]hop, memsim.Addr) {
+		path, found := tree.SearchPath(lookups[i], p[:0])
+		p = path
+		for _, addr := range path {
+			hops = append(hops, hop{addr, dstruct.BSTNodeBytes, cpu.Dependent, 3})
 		}
-		interleaved(nC, func(c int) bool {
-			li := next[c]
-			if li >= len(lookups) {
-				return false
-			}
-			next[c] = li + nC
-			cc := s.Cores[c]
-			path, found := tree.SearchPath(lookups[li], paths[c][:0])
-			paths[c] = path
-			for _, addr := range path {
-				cc.Load(addr, cpu.Dependent)
-				cc.Compute(3)
-			}
-			if !found {
-				return true
-			}
+		if found {
 			cs.addU64(uint64(len(path)))
-			return next[c] < len(lookups)
-		})
-		finish = coreFinish(s.Cores)
-	} else {
-		type coreState struct {
-			next   int
-			window *stream.OpWindow
 		}
-		states := make([]*coreState, nC)
-		for c := range states {
-			states[c] = &coreState{next: c, window: stream.NewOpWindow(chaseWindow)}
-		}
-		interleaved(nC, func(c int) bool {
-			st := states[c]
-			if st.next >= len(lookups) {
-				return false
-			}
-			key := lookups[st.next]
-			st.next += nC
-			start := st.window.Issue(0)
-			path, found := tree.SearchPath(key, paths[c][:0])
-			paths[c] = path
-			ch := stream.NewChaseStream(s.SE, c)
-			ch.Start(start, tree.Root())
-			for _, addr := range path {
-				ch.Visit(addr, dstruct.BSTNodeBytes)
-			}
-			done := ch.Terminate()
-			if found {
-				cs.addU64(uint64(len(path)))
-			}
-			st.window.Complete(done)
-			if done > finish {
-				finish = done
-			}
-			return st.next < len(lookups)
-		})
-	}
+		return hops, tree.Root()
+	})
 	return Result{Name: w.Name(), Mode: mode, Metrics: s.Collect(finish), Checksum: cs.sum()}, nil
 }
