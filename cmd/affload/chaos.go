@@ -209,7 +209,7 @@ func runChaos(cfg chaosConfig) error {
 		go func(stream int) {
 			defer wg.Done()
 			driveSteps(context.Background(), client, &all[stream], machineIDs[stream],
-				cfg.seed, stream, cfg.ops, cfg.batch, pace)
+				affinityd.StreamSteps(cfg.seed, stream, cfg.ops, cfg.batch), pace)
 		}(i)
 	}
 	go func() { wg.Wait(); close(done) }()
@@ -315,7 +315,7 @@ func cleanOracle(cfg chaosConfig) ([]streamStats, error) {
 		if err != nil {
 			return nil, err
 		}
-		driveSteps(context.Background(), client, &out[i], reg.MachineID, cfg.seed, i, cfg.ops, cfg.batch, 0)
+		driveSteps(context.Background(), client, &out[i], reg.MachineID, affinityd.StreamSteps(cfg.seed, i, cfg.ops, cfg.batch), 0)
 		if out[i].err != nil {
 			return nil, fmt.Errorf("oracle stream %d: %w", i, out[i].err)
 		}

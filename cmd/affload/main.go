@@ -199,43 +199,47 @@ func driveStream(ctx context.Context, client *affinityd.Client, st *streamStats,
 		st.err = err
 		return
 	}
-	driveSteps(ctx, client, st, reg.MachineID, seed, stream, ops, batchSize, 0)
+	driveSteps(ctx, client, st, reg.MachineID, affinityd.StreamSteps(seed, stream, ops, batchSize), 0)
 }
 
-// driveSteps pushes one stream's seeded steps at an already-registered
-// machine (chaos mode registers machines itself, before turbulence
-// starts, because registration is the one call without an idempotency
-// key). A non-zero pace sleeps between steps — chaos mode uses it to
-// stretch the stream across the whole turbulence schedule.
-func driveSteps(ctx context.Context, client *affinityd.Client, st *streamStats, machineID string, seed int64, stream, ops, batchSize int, pace time.Duration) {
+// driveSteps pushes wire rounds — a seeded stream's or a lowered trace
+// scenario's — at an already-registered machine (chaos mode registers
+// machines itself, before turbulence starts, because registration is
+// the one call without an idempotency key). A non-zero pace sleeps
+// between steps — chaos mode uses it to stretch the stream across the
+// whole turbulence schedule.
+func driveSteps(ctx context.Context, client *affinityd.Client, st *streamStats, machineID string, steps []affinityd.TraceStep, pace time.Duration) {
 	st.machineID = machineID
 	st.placements = make(map[string]affinityd.Placement)
 	st.freed = make(map[string]string)
-	gen := affinityd.NewStreamGen(seed, stream)
 	start := time.Now()
-	for sent := 0; sent < ops; {
-		n := min(batchSize, ops-sent)
-		step := gen.NextStep(n)
-		sent += n
-
-		t0 := time.Now()
-		resp, err := client.Alloc(ctx, machineID, step.AllocBatch, step.Allocs)
-		st.lat.Observe(uint64(time.Since(t0)))
-		if err != nil {
-			st.err = err
-			return
-		}
-		st.batches++
-		for _, p := range resp.Placements {
-			if prev, dup := st.placements[p.ID]; dup && !placementEqual(prev, p) {
-				st.err = fmt.Errorf("duplicate placement for %q diverges: %+v vs %+v", p.ID, prev, p)
+	for i, step := range steps {
+		for _, il := range step.Pools {
+			if _, err := client.OpenPool(ctx, machineID, il); err != nil {
+				st.err = err
 				return
 			}
-			st.placements[p.ID] = p
-			if p.Error != "" {
-				st.errors++
-			} else {
-				st.allocs++
+		}
+		if len(step.Allocs) > 0 {
+			t0 := time.Now()
+			resp, err := client.Alloc(ctx, machineID, step.AllocBatch, step.Allocs)
+			st.lat.Observe(uint64(time.Since(t0)))
+			if err != nil {
+				st.err = err
+				return
+			}
+			st.batches++
+			for _, p := range resp.Placements {
+				if prev, dup := st.placements[p.ID]; dup && !placementEqual(prev, p) {
+					st.err = fmt.Errorf("duplicate placement for %q diverges: %+v vs %+v", p.ID, prev, p)
+					return
+				}
+				st.placements[p.ID] = p
+				if p.Error != "" {
+					st.errors++
+				} else {
+					st.allocs++
+				}
 			}
 		}
 		if len(step.Frees) > 0 {
@@ -255,7 +259,7 @@ func driveSteps(ctx context.Context, client *affinityd.Client, st *streamStats, 
 				}
 			}
 		}
-		if pace > 0 && sent < ops {
+		if pace > 0 && i < len(steps)-1 {
 			select {
 			case <-time.After(pace):
 			case <-ctx.Done():
@@ -326,14 +330,15 @@ func runTrace(addr, path string, batchSize int, keep bool, timeout time.Duration
 			fail(sc.Label, err)
 			continue
 		}
-		wire, batches, allocs, frees, errors, err := driveTraceSteps(ctx, client, reg.MachineID, steps)
+		var st streamStats
+		driveSteps(ctx, client, &st, reg.MachineID, steps, 0)
 		if !keep {
 			if derr := client.Deregister(ctx, reg.MachineID); derr != nil {
 				fmt.Fprintln(os.Stderr, "affload: deregister:", derr)
 			}
 		}
-		if err != nil {
-			fail(sc.Label, err)
+		if st.err != nil {
+			fail(sc.Label, st.err)
 			continue
 		}
 		res, err := trace.Replay(sc, trace.Options{})
@@ -341,7 +346,7 @@ func runTrace(addr, path string, batchSize int, keep bool, timeout time.Duration
 			fail(sc.Label, fmt.Errorf("local replay: %w", err))
 			continue
 		}
-		diffs, err := affinityd.DiffReplay(sc, res, wire)
+		diffs, err := affinityd.DiffReplay(sc, res, st.placements)
 		if err != nil {
 			fail(sc.Label, err)
 			continue
@@ -355,7 +360,7 @@ func runTrace(addr, path string, batchSize int, keep bool, timeout time.Duration
 				fmt.Fprintf(os.Stderr, "affload: %s: %s\n", sc.Label, d)
 			}
 		}
-		tbl.AddRow(sc.Label, reg.MachineID, batches, allocs, frees, errors, status)
+		tbl.AddRow(sc.Label, reg.MachineID, st.batches, st.allocs, st.frees, st.errors, status)
 	}
 	tbl.Render(os.Stdout)
 	if skipped > 0 {
@@ -371,52 +376,6 @@ func runTrace(addr, path string, batchSize int, keep bool, timeout time.Duration
 		return fmt.Errorf("%s: no single-tenant scenario to replay", path)
 	}
 	return nil
-}
-
-// driveTraceSteps pushes one lowered scenario at a registered machine,
-// collecting every returned placement by wire ID.
-func driveTraceSteps(ctx context.Context, client *affinityd.Client, machineID string, steps []affinityd.TraceStep) (wire map[string]affinityd.Placement, batches, allocs, frees, errCount int, err error) {
-	wire = make(map[string]affinityd.Placement)
-	for _, stp := range steps {
-		for _, il := range stp.Pools {
-			if _, err = client.OpenPool(ctx, machineID, il); err != nil {
-				return
-			}
-		}
-		if len(stp.Allocs) > 0 {
-			var resp affinityd.BatchAllocResponse
-			if resp, err = client.Alloc(ctx, machineID, stp.AllocBatch, stp.Allocs); err != nil {
-				return
-			}
-			batches++
-			for _, p := range resp.Placements {
-				if prev, dup := wire[p.ID]; dup && !placementEqual(prev, p) {
-					err = fmt.Errorf("duplicate placement for %q diverges: %+v vs %+v", p.ID, prev, p)
-					return
-				}
-				wire[p.ID] = p
-				if p.Error != "" {
-					errCount++
-				} else {
-					allocs++
-				}
-			}
-		}
-		if len(stp.Frees) > 0 {
-			var fresp affinityd.FreeResponse
-			if fresp, err = client.Free(ctx, machineID, stp.FreeBatch, stp.Frees); err != nil {
-				return
-			}
-			for _, r := range fresp.Results {
-				if r.Error != "" {
-					errCount++
-				} else {
-					frees++
-				}
-			}
-		}
-	}
-	return
 }
 
 // serverLatencyLine derives the p50/p99 placement latency from the

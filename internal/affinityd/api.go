@@ -81,9 +81,12 @@ type OpenPoolResponse struct {
 	Pool      PoolInfo `json:"pool"`
 }
 
-// ElemRef names one element of a previously placed affine array — an
-// edge of the affinity hint graph. Ref is the AllocRequest.ID that
-// produced the array (this batch or any earlier one on the machine).
+// ElemRef names one element of a previous Aff-Alloc placement — an edge
+// of the affinity hint graph. Ref is the AllocRequest.ID that produced
+// the placement (this batch or any earlier one on the machine). Elem
+// indexes an affine array and is clamped to it; a near placement is a
+// single element, so any Elem names its base. Baseline-heap placements
+// cannot be referenced.
 type ElemRef struct {
 	Ref  string `json:"ref"`
 	Elem int64  `json:"elem"`

@@ -53,6 +53,19 @@ type Step struct {
 	FreeBatch  string
 }
 
+// StreamSteps generates a stream's first ops requests as wire rounds of
+// at most batch allocations each (batch < 1 means 1): the rounds affload
+// sends and ScenarioFromStream records. A stream opens no pools.
+func StreamSteps(seed int64, stream, ops, batch int) []TraceStep {
+	batch = max(batch, 1)
+	gen := NewStreamGen(seed, stream)
+	var steps []TraceStep
+	for sent := 0; sent < ops; sent += batch {
+		steps = append(steps, TraceStep{Step: gen.NextStep(min(batch, ops-sent))})
+	}
+	return steps
+}
+
 // NextStep generates the next round with n allocation requests.
 func (g *StreamGen) NextStep(n int) Step {
 	st := Step{

@@ -461,7 +461,8 @@ func (m *machine) placeAffine(req *AllocRequest) (Placement, error) {
 }
 
 // placeNear serves an irregular request, resolving affinity edges to
-// element addresses of earlier placements.
+// element addresses of earlier placements. A near placement is a single
+// element, so an edge to one resolves to its base.
 func (m *machine) placeNear(req *AllocRequest) (Placement, error) {
 	if len(req.Affinity) > core.MaxAffinityAddrs {
 		return Placement{}, fmt.Errorf("%d affinity edges exceeds the %d cap", len(req.Affinity), core.MaxAffinityAddrs)
@@ -472,10 +473,14 @@ func (m *machine) placeNear(req *AllocRequest) (Placement, error) {
 		if !ok {
 			return Placement{}, fmt.Errorf("affinity ref %q is not a live allocation", ref.Ref)
 		}
-		if target.info == nil {
-			return Placement{}, fmt.Errorf("affinity ref %q is not an affine placement", ref.Ref)
+		switch {
+		case target.info != nil:
+			addrs = append(addrs, target.info.ElemAddr(clampElem(ref.Elem, target.info.NumElem)))
+		case target.baseline:
+			return Placement{}, fmt.Errorf("affinity ref %q is a baseline-heap placement", ref.Ref)
+		default:
+			addrs = append(addrs, target.base)
 		}
-		addrs = append(addrs, target.info.ElemAddr(clampElem(ref.Elem, target.info.NumElem)))
 	}
 	base, err := m.sys.AllocNear(req.Size, addrs)
 	if err != nil {

@@ -163,11 +163,16 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		{ID: "ok", ElemSize: 4, NumElem: 8}, // duplicate live ID
 		{ID: "k", Kind: "wat"},
 		{ID: "e", ElemSize: 4, NumElem: 8, AlignTo: "ghost"},
+		// A near placement is an affinity target; a baseline-heap one is not.
+		{ID: "n1", Kind: KindNear, Size: 64},
+		{ID: "n2", Kind: KindNear, Size: 64, Affinity: []ElemRef{{Ref: "n1"}}},
+		{ID: "heap", Mode: sys.NearL3.String(), ElemSize: 1, NumElem: 64},
+		{ID: "n3", Kind: KindNear, Size: 64, Affinity: []ElemRef{{Ref: "heap"}}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantErr := []bool{false, true, true, true, true}
+	wantErr := []bool{false, true, true, true, true, false, false, false, true}
 	for i, p := range resp.Placements {
 		if (p.Error != "") != wantErr[i] {
 			t.Errorf("placement %d: error %q, want error=%v", i, p.Error, wantErr[i])
