@@ -10,10 +10,13 @@
 //	          [-realloc epoch=2000,...] [-realloc-sweep]
 //	          [-metrics-out m.json] [-trace-out t.json] [-pprof cpu.prof]
 //
-// Experiments run concurrently across -j worker goroutines and their
-// figures are written in registry order, so the report — and the
-// -metrics-out / -trace-out files — are byte-identical for every -j.
-// Per-experiment timing goes to stderr, never into the report.
+// The report and each side table (-faults-sweep, -colocation,
+// -realloc-sweep) run through harness.RunAll. Experiments run
+// concurrently across -j worker goroutines and their figures are
+// written in registry order, so the report — and the -metrics-out /
+// -trace-out files — are byte-identical for every -j. Per-experiment
+// timing goes to stderr, never into the report. An -only id the
+// registry lacks fails before anything runs.
 //
 // For wall-clock performance measurement (host time, allocations,
 // sim-cycles/sec), use `go run ./benchmark`; this binary reports
@@ -54,6 +57,28 @@ func main() {
 	}
 	defer stopProf()
 
+	// The report, or one side table in its place. Either way the
+	// experiments run through harness.RunAll, which renders a side
+	// table's FAILED(<reason>) cells and still fails the invocation.
+	side := *coloc || *reSweep || *sweep
+	exps, artsName := harness.Experiments(), "all"
+	switch {
+	case *coloc:
+		exps = []harness.Experiment{{ID: "colocation", Run: harness.Colocation}}
+	case *reSweep:
+		exps = []harness.Experiment{{ID: "realloc", Run: harness.ReallocSweep}}
+	case *sweep:
+		exps = []harness.Experiment{{ID: "faults", Run: harness.FaultsSweep}}
+	case *only != "":
+		if exps, err = harness.Select(strings.Split(*only, ",")...); err != nil {
+			fatal(err)
+		}
+		artsName = *only
+	}
+	if side {
+		artsName = exps[0].ID
+	}
+
 	var out io.Writer = os.Stdout
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
@@ -63,64 +88,16 @@ func main() {
 		defer f.Close()
 		out = f
 	}
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
-	}
-
-	exp := "all"
-	if *only != "" {
-		exp = *only
-	}
-	arts, closeArts, err := cc.Artifacts(exp, opt.Scale)
+	arts, closeArts, err := cc.Artifacts(artsName, opt.Scale)
 	if err != nil {
 		fatal(err)
 	}
 	defer closeArts()
 
-	if *coloc {
-		fig, err := harness.Colocation(opt)
-		if err != nil {
-			failSummary(err)
-			os.Exit(1)
-		}
-		fig.Render(out)
-		return
+	if !side {
+		fmt.Fprintf(out, "# Affinity Alloc — regenerated evaluation (scale=%v, seed=%d)\n\n", opt.Scale, cc.Seed)
 	}
-
-	if *reSweep {
-		// Like -faults-sweep, per-cell failures render as FAILED(<reason>)
-		// cells and only flip the exit status.
-		fig, err := harness.ReallocSweep(opt)
-		if fig != nil {
-			fig.Render(out)
-		}
-		if err != nil {
-			failSummary(err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *sweep {
-		// The sweep tolerates per-cell failures: the table renders with
-		// FAILED(<reason>) cells and the exit status stays non-zero.
-		fig, err := harness.FaultsSweep(opt)
-		if fig != nil {
-			fig.Render(out)
-		}
-		if err != nil {
-			failSummary(err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	fmt.Fprintf(out, "# Affinity Alloc — regenerated evaluation (scale=%v, seed=%d)\n\n", opt.Scale, cc.Seed)
-	if err := harness.RunAll(opt, out, want, os.Stderr, cc.Timing, arts); err != nil {
+	if err := harness.RunAll(opt, exps, out, os.Stderr, cc.Timing, arts); err != nil {
 		failSummary(err)
 		os.Exit(1)
 	}

@@ -20,8 +20,11 @@ func runArtifacts(t *testing.T, jobs int) (figs, metrics, trace string) {
 	t.Helper()
 	var figBuf, metBuf, trBuf bytes.Buffer
 	arts := &Artifacts{MetricsOut: &metBuf, TraceOut: &trBuf, Experiment: "fig4", Scale: Tiny, Seed: 1}
-	err := RunAll(Options{Scale: Tiny, Seed: 1, Jobs: jobs}, &figBuf,
-		map[string]bool{"fig4": true}, nil, false, arts)
+	exps, err := Select("fig4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = RunAll(Options{Scale: Tiny, Seed: 1, Jobs: jobs}, exps, &figBuf, nil, false, arts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 
 	"affinityalloc/internal/core"
@@ -61,16 +60,7 @@ func FaultsSweep(opt Options) (*Figure, error) {
 		}
 	}
 	rs, err := runCells(opt, cells)
-	var fails *CellFailures
-	if err != nil && !errors.As(err, &fails) {
-		return nil, err
-	}
-	failed := make(map[int]error)
-	if fails != nil {
-		for _, f := range fails.Cells {
-			failed[f.Index] = f.Err
-		}
-	}
+	errs := cellErrors(len(cells), err)
 
 	headers := []string{"faults"}
 	for _, mode := range sys.Modes {
@@ -81,10 +71,7 @@ func FaultsSweep(opt Options) (*Figure, error) {
 
 	at := func(li, mi int) (workloads.Result, error) {
 		idx := li*len(sys.Modes) + mi
-		if err, ok := failed[idx]; ok {
-			return workloads.Result{}, err
-		}
-		return rs[idx], nil
+		return rs[idx], errs[idx]
 	}
 	cleanAffHops := 0.0
 	if r, err := at(0, len(sys.Modes)-1); err == nil {
@@ -122,10 +109,7 @@ func FaultsSweep(opt Options) (*Figure, error) {
 			"auto-picked victims are drawn from seed=" + fmt.Sprint(opt.Seed) + "; the mesh always stays connected",
 		},
 	}
-	if fails != nil {
-		return fig, fails
-	}
-	return fig, nil
+	return fig, err
 }
 
 // shortReason compresses a cell error into a table-cell-sized tag.

@@ -74,7 +74,7 @@ func Fig12(opt Options) (*Figure, error) {
 	trf := stats.NewTable("Fig 12: NoC traffic (flit-hops normalized to In-Core) and utilization",
 		"workload", "cfg", "data", "control", "offload", "total", "util")
 
-	ws := allWorkloads(opt)
+	ws := AllWorkloads(opt)
 	modeRes, err := runModesAll(opt, ws)
 	if err != nil {
 		return nil, err
@@ -101,11 +101,11 @@ func Fig12(opt Options) (*Figure, error) {
 		}
 	}
 	spd.AddRow("geomean",
-		1/geomeanColumn(spIn), 1.0, geomeanColumn(spAff),
-		1/geomeanColumn(efIn), 1.0, geomeanColumn(efAff))
+		1/stats.Geomean(spIn), 1.0, stats.Geomean(spAff),
+		1/stats.Geomean(efIn), 1.0, stats.Geomean(efAff))
 
-	affOverIn := geomeanColumn(spAff) * geomeanColumn(spIn)
-	effOverIn := geomeanColumn(efAff) * geomeanColumn(efIn)
+	affOverIn := stats.Geomean(spAff) * stats.Geomean(spIn)
+	effOverIn := stats.Geomean(efAff) * stats.Geomean(efIn)
 	var trSum float64
 	for _, v := range trAff {
 		trSum += v
@@ -116,7 +116,7 @@ func Fig12(opt Options) (*Figure, error) {
 		Tables: []*stats.Table{spd, trf},
 		Notes: []string{
 			fmt.Sprintf("Aff-Alloc over Near-L3: %.2fx speedup, %.2fx energy eff (paper: 2.26x / 1.76x)",
-				geomeanColumn(spAff), geomeanColumn(efAff)),
+				stats.Geomean(spAff), stats.Geomean(efAff)),
 			fmt.Sprintf("Aff-Alloc over In-Core: %.2fx speedup, %.2fx energy eff (paper: 7.53x / 4.69x)",
 				affOverIn, effOverIn),
 			fmt.Sprintf("Aff-Alloc mean traffic vs In-Core: %.0f%% reduction (paper: 87%%)",
@@ -180,7 +180,7 @@ func Fig13(opt Options) (*Figure, error) {
 	}
 	gm := []interface{}{"geomean"}
 	for _, p := range policies {
-		gm = append(gm, geomeanColumn(perPolicy[policyName(p)]))
+		gm = append(gm, stats.Geomean(perPolicy[policyName(p)]))
 	}
 	spd.AddRow(gm...)
 

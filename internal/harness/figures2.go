@@ -49,7 +49,7 @@ func Fig6(opt Options) (*Figure, error) {
 	cfg := baseConfig(opt, core.DefaultPolicy())
 	names := []string{"pr_push", "bfs_push", "sssp", "pr_pull", "bfs_pull"}
 	g, gt := sharedGraph(opt)
-	wgr := weightedSharedGraph(opt)
+	wgr := weighted(g, 42+opt.Seed)
 	byVariant := make([][]workloads.Workload, len(variants))
 	for vi, v := range variants {
 		byVariant[vi] = fig6Workloads(opt, g, gt, wgr, v.oracle)
@@ -83,7 +83,7 @@ func Fig6(opt Options) (*Figure, error) {
 	}
 	gm := []interface{}{"geomean"}
 	for _, v := range variants {
-		gm = append(gm, geomeanColumn(perVariant[v.name]))
+		gm = append(gm, stats.Geomean(perVariant[v.name]))
 	}
 	spd.AddRow(gm...)
 	return &Figure{
@@ -281,10 +281,7 @@ func Fig16(opt Options) (*Figure, error) {
 	if err := opt.forEach(len(graphs), func(ds int) error {
 		scale := baseScale + ds
 		g := graph.Kronecker(scale, deg, 42+opt.Seed)
-		gt := g.Transpose()
-		wg := graph.Kronecker(scale, deg, 42+opt.Seed)
-		wg.AddUniformWeights(1, 255, 42+opt.Seed)
-		graphs[ds] = graphInput{fmt.Sprintf("2^%d", scale), g, gt, wg}
+		graphs[ds] = graphInput{fmt.Sprintf("2^%d", scale), g, g.Transpose(), weighted(g, 42+opt.Seed)}
 		return nil
 	}); err != nil {
 		return nil, err
@@ -418,10 +415,7 @@ func Fig19(opt Options) (*Figure, error) {
 		d := degrees[di]
 		n := int32(totalEdges / int64(d))
 		g := graph.PowerLaw(n, d, 7+opt.Seed)
-		gt := g.Transpose()
-		wg := graph.PowerLaw(n, d, 7+opt.Seed)
-		wg.AddUniformWeights(1, 255, 7+opt.Seed)
-		graphs[di] = graphInput{fmt.Sprintf("D%d", d), g, gt, wg}
+		graphs[di] = graphInput{fmt.Sprintf("D%d", d), g, g.Transpose(), weighted(g, 7+opt.Seed)}
 		return nil
 	}); err != nil {
 		return nil, err
@@ -494,11 +488,7 @@ func Fig20(opt Options) (*Figure, error) {
 	graphs := make([]graphInput, len(stand))
 	if err := opt.forEach(len(stand), func(gi int) error {
 		g := stand[gi].G
-		gt := g.Transpose()
-		// A weighted view for sssp that shares structure with g.
-		wg := &graph.Graph{N: g.N, Index: g.Index, Edges: g.Edges}
-		wg.AddUniformWeights(1, 255, 300+opt.Seed)
-		graphs[gi] = graphInput{stand[gi].Name, g, gt, wg}
+		graphs[gi] = graphInput{stand[gi].Name, g, g.Transpose(), weighted(g, 300+opt.Seed)}
 		return nil
 	}); err != nil {
 		return nil, err
@@ -527,7 +517,7 @@ func Fig20(opt Options) (*Figure, error) {
 		Title:  "Performance on Real-World Graph Stand-ins",
 		Tables: []*stats.Table{spd, trf},
 		Notes: []string{
-			fmt.Sprintf("Hybrid-5 geomean speedup over Near-L3: %.2fx (paper: 2.0x)", geomeanColumn(hySpeedups)),
+			fmt.Sprintf("Hybrid-5 geomean speedup over Near-L3: %.2fx (paper: 2.0x)", stats.Geomean(hySpeedups)),
 		},
 	}, nil
 }

@@ -8,6 +8,9 @@ package harness
 import (
 	"fmt"
 	"io"
+	"sort"
+	"strconv"
+	"strings"
 
 	"affinityalloc/internal/core"
 	"affinityalloc/internal/faults"
@@ -150,6 +153,36 @@ func Experiments() []Experiment {
 	}
 }
 
+// Select returns the experiments ids names, in registry order and each
+// once; no ids selects every experiment. Any id the registry lacks fails
+// the whole selection, and the error names every such id.
+func Select(ids ...string) ([]Experiment, error) {
+	all := Experiments()
+	if len(ids) == 0 {
+		return all, nil
+	}
+	want := map[string]bool{}
+	for _, id := range ids {
+		want[strings.TrimSpace(id)] = true
+	}
+	var sel []Experiment
+	for _, e := range all {
+		if want[e.ID] {
+			sel = append(sel, e)
+			delete(want, e.ID)
+		}
+	}
+	if len(want) > 0 {
+		unknown := make([]string, 0, len(want))
+		for id := range want {
+			unknown = append(unknown, strconv.Quote(id))
+		}
+		sort.Strings(unknown)
+		return nil, fmt.Errorf("unknown experiment %s", strings.Join(unknown, ", "))
+	}
+	return sel, nil
+}
+
 // Lookup finds an experiment by id.
 func Lookup(id string) (Experiment, bool) {
 	for _, e := range Experiments() {
@@ -232,10 +265,6 @@ func trafficCols(r workloads.Result, base workloads.Result) (d, c, o float64) {
 	return float64(dd) / total, float64(cc) / total, float64(oo) / total
 }
 
-// geomeanColumn computes the geometric mean of a column extractor over
-// rows.
-func geomeanColumn(vals []float64) float64 { return stats.Geomean(vals) }
-
 // sharedGraph builds the evaluation's main Kronecker graph at the given
 // scale (Table 3: 128k nodes, 4M edges at paper scale).
 func sharedGraph(opt Options) (*graph.Graph, *graph.Graph) {
@@ -250,9 +279,10 @@ func sharedGraph(opt Options) (*graph.Graph, *graph.Graph) {
 	return g, g.Transpose()
 }
 
-// weightedSharedGraph adds Table 3's uniform [1,255] weights.
-func weightedSharedGraph(opt Options) *graph.Graph {
-	g, _ := sharedGraph(opt)
-	g.AddUniformWeights(1, 255, 42+opt.Seed)
-	return g
+// weighted returns a view of g for sssp: it shares g's structure and
+// owns a set of Table 3's uniform [1,255] edge weights drawn from seed.
+func weighted(g *graph.Graph, seed int64) *graph.Graph {
+	wg := &graph.Graph{N: g.N, Index: g.Index, Edges: g.Edges}
+	wg.AddUniformWeights(1, 255, seed)
+	return wg
 }

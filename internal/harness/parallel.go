@@ -11,6 +11,7 @@ import (
 
 	"affinityalloc/internal/engine"
 	"affinityalloc/internal/sys"
+	"affinityalloc/internal/trace"
 	"affinityalloc/internal/workloads"
 )
 
@@ -207,13 +208,16 @@ func (t *Timing) Report(w io.Writer) {
 	}
 }
 
-// RunAll regenerates every experiment (or the subset in only) and
-// writes the rendered figures to out in registry order — byte-identical
-// to a serial run for any worker count, since each experiment renders
-// into its own buffer. Experiments run concurrently, all drawing on one
-// shared pool of opt.Jobs workers; with -j 1 they run strictly
-// sequentially. A failed experiment renders a FAILED section and does
-// not abort the others; the lowest-registry-order error is returned.
+// RunAll runs the experiments in exps and writes their rendered figures
+// to out in the given order — byte-identical to a serial run for any
+// worker count, since each experiment renders into its own buffer.
+// Experiments run concurrently, all drawing on one shared pool of
+// opt.Jobs workers; with -j 1 they run strictly sequentially. It is the
+// runner behind every command that simulates. A failed experiment does
+// not abort the others: a figure returned with its error still renders
+// (the sweeps mark their failed cells in it), one returned without a
+// figure renders a FAILED section, and the first error in exps order is
+// returned.
 //
 // When timingOut is non-nil a per-experiment accounting line is written
 // there after the figures (and per-cell lines when perCell is set), so
@@ -221,28 +225,25 @@ func (t *Timing) Report(w io.Writer) {
 //
 // When arts requests machine-readable outputs, every experiment's cells
 // are collected and written as one document after the figures, cells
-// labeled "<experiment>/<workload>/<mode>" in registry-then-reservation
-// order — like the figure stream, byte-identical for any worker count.
-func RunAll(opt Options, out io.Writer, only map[string]bool, timingOut io.Writer, perCell bool, arts *Artifacts) error {
-	var sel []Experiment
-	for _, e := range Experiments() {
-		if len(only) == 0 || only[e.ID] {
-			sel = append(sel, e)
-		}
-	}
+// labeled "<experiment>/<cell label>" in exps-then-reservation order.
+// When opt.Record is set, each experiment records into its own collector
+// and the scenarios land in opt.Record in exps order. Like the figure
+// stream, both are byte-identical for any worker count.
+func RunAll(opt Options, exps []Experiment, out io.Writer, timingOut io.Writer, perCell bool, arts *Artifacts) error {
 	opt = opt.ShareWorkers()
 
 	type expRun struct {
 		buf     bytes.Buffer
 		timing  *Timing
 		collect *Collector
+		record  *trace.Collector
 		wall    time.Duration
 		err     error
 	}
-	runs := make([]expRun, len(sel))
+	runs := make([]expRun, len(exps))
 	serial := opt.jobs() == 1
 	var wg sync.WaitGroup
-	for i := range sel {
+	for i := range exps {
 		i := i
 		one := func() {
 			r := &runs[i]
@@ -253,12 +254,18 @@ func RunAll(opt Options, out io.Writer, only map[string]bool, timingOut io.Write
 				r.collect = &Collector{}
 				o.Collect = r.collect
 			}
+			if opt.Record != nil {
+				r.record = trace.NewCollector()
+				o.Record = r.record
+			}
 			start := time.Now()
-			fig, err := sel[i].Run(o)
+			fig, err := exps[i].Run(o)
 			r.wall = time.Since(start)
 			if err != nil {
-				r.err = fmt.Errorf("%s: %w", sel[i].ID, err)
-				fmt.Fprintf(&r.buf, "### %s — FAILED: %v\n\n", sel[i].ID, err)
+				r.err = fmt.Errorf("%s: %w", exps[i].ID, err)
+			}
+			if fig == nil {
+				fmt.Fprintf(&r.buf, "### %s — FAILED: %v\n\n", exps[i].ID, err)
 				return
 			}
 			fig.Render(&r.buf)
@@ -276,19 +283,24 @@ func RunAll(opt Options, out io.Writer, only map[string]bool, timingOut io.Write
 	wg.Wait()
 
 	var firstErr error
-	for i := range sel {
+	for i := range exps {
 		if _, err := out.Write(runs[i].buf.Bytes()); err != nil {
 			return err
 		}
 		if runs[i].err != nil && firstErr == nil {
 			firstErr = runs[i].err
 		}
+		scs := runs[i].record.Trace().Scenarios
+		slot := opt.Record.Reserve(len(scs))
+		for j, sc := range scs {
+			opt.Record.Put(slot+j, sc)
+		}
 	}
 	if arts.enabled() {
 		var cells []CollectedCell
-		for i := range sel {
+		for i := range exps {
 			for _, cc := range runs[i].collect.Cells() {
-				cells = append(cells, CollectedCell{Label: sel[i].ID + "/" + cc.Label, Snap: cc.Snap})
+				cells = append(cells, CollectedCell{Label: exps[i].ID + "/" + cc.Label, Snap: cc.Snap})
 			}
 		}
 		if err := arts.Write(cells); err != nil && firstErr == nil {
@@ -297,21 +309,20 @@ func RunAll(opt Options, out io.Writer, only map[string]bool, timingOut io.Write
 	}
 	if timingOut != nil {
 		var totCells int
-		var totWall, totCellWall time.Duration
+		var totCellWall time.Duration
 		var totSim engine.Time
-		for i := range sel {
+		for i := range exps {
 			n, cellWall, sim := runs[i].timing.Summary()
 			rate := 0.0
 			if runs[i].wall > 0 {
 				rate = float64(sim) / runs[i].wall.Seconds() / 1e6
 			}
 			fmt.Fprintf(timingOut, "%-7s %3d cells  wall %7.2fs  cellsum %7.2fs  sim %12d cyc  %8.1f Mcyc/s\n",
-				sel[i].ID, n, runs[i].wall.Seconds(), cellWall.Seconds(), uint64(sim), rate)
+				exps[i].ID, n, runs[i].wall.Seconds(), cellWall.Seconds(), uint64(sim), rate)
 			if perCell {
 				runs[i].timing.Report(timingOut)
 			}
 			totCells += n
-			totWall += runs[i].wall
 			totCellWall += cellWall
 			totSim += sim
 		}

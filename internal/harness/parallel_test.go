@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"affinityalloc/internal/core"
 	"affinityalloc/internal/sys"
+	"affinityalloc/internal/trace"
 	"affinityalloc/internal/workloads"
 )
 
@@ -172,9 +174,11 @@ func TestTimingRecordsCells(t *testing.T) {
 func TestRunAllSubsetMatchesSerial(t *testing.T) {
 	run := func(jobs int) string {
 		var buf bytes.Buffer
-		err := RunAll(Options{Scale: Tiny, Seed: 1, Jobs: jobs}, &buf,
-			map[string]bool{"fig4": true, "t2": true}, nil, false, nil)
+		exps, err := Select("t2", "fig4")
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := RunAll(Options{Scale: Tiny, Seed: 1, Jobs: jobs}, exps, &buf, nil, false, nil); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -188,5 +192,34 @@ func TestRunAllSubsetMatchesSerial(t *testing.T) {
 	t2 := strings.Index(serial, "### t2")
 	if fig4 < 0 || t2 < 0 || fig4 > t2 {
 		t.Errorf("experiments out of registry order: fig4 at %d, t2 at %d", fig4, t2)
+	}
+}
+
+// TestRunAllRecordsInSelectionOrder: each experiment records into its
+// own collector and RunAll merges them in selection order, so a later
+// experiment whose cells start first still records after an earlier
+// one.
+func TestRunAllRecordsInSelectionOrder(t *testing.T) {
+	exp := func(id string, delay time.Duration) Experiment {
+		return Experiment{ID: id, Run: func(opt Options) (*Figure, error) {
+			time.Sleep(delay)
+			c := cell{id + "/vecadd", baseConfig(opt, core.DefaultPolicy()), workloads.VecAdd{N: 1 << 9, ForceDelta: -1}, sys.AffAlloc}
+			if _, err := runCells(opt, []cell{c}); err != nil {
+				return nil, err
+			}
+			return &Figure{ID: id}, nil
+		}}
+	}
+	opt := Options{Seed: 1, Jobs: 2, Record: trace.NewCollector()}
+	exps := []Experiment{exp("slow", 50*time.Millisecond), exp("fast", 0)}
+	if err := RunAll(opt, exps, io.Discard, nil, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, sc := range opt.Record.Trace().Scenarios {
+		got = append(got, sc.Label)
+	}
+	if strings.Join(got, ",") != "slow/vecadd,fast/vecadd" {
+		t.Errorf("recorded %v, want slow/vecadd then fast/vecadd", got)
 	}
 }

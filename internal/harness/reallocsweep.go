@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 
 	"affinityalloc/internal/core"
@@ -106,22 +105,10 @@ func ReallocSweep(opt Options) (*Figure, error) {
 		}
 	}
 	rs, err := runCells(opt, cells)
-	var fails *CellFailures
-	if err != nil && !errors.As(err, &fails) {
-		return nil, err
-	}
-	failed := make(map[int]error)
-	if fails != nil {
-		for _, f := range fails.Cells {
-			failed[f.Index] = f.Err
-		}
-	}
+	errs := cellErrors(len(cells), err)
 	at := func(wi, si, vi int) (workloads.Result, error) {
 		idx := (wi*len(scens)+si)*len(variants) + vi
-		if err, ok := failed[idx]; ok {
-			return workloads.Result{}, err
-		}
-		return rs[idx], nil
+		return rs[idx], errs[idx]
 	}
 
 	tbl := stats.NewTable("Online re-allocation: static vs dynamic placement (Aff-Alloc)",
@@ -173,8 +160,5 @@ func ReallocSweep(opt Options) (*Figure, error) {
 			"both variants suffer the same mid-run kill; checksums are cross-checked (migration is timing-only)",
 		},
 	}
-	if fails != nil {
-		return fig, fails
-	}
-	return fig, nil
+	return fig, err
 }

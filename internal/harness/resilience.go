@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -61,6 +62,21 @@ func (e *CellFailures) Failed() []string {
 		out[i] = c.Label
 	}
 	return out
+}
+
+// cellErrors returns the per-cell errors of a runCells batch of n cells,
+// indexed like the cells and nil where a cell ran, given the error the
+// batch returned. Figures that mark failed cells in place (the sweeps,
+// the workload table) read it instead of failing as a whole.
+func cellErrors(n int, err error) []error {
+	errs := make([]error, n)
+	var fails *CellFailures
+	if errors.As(err, &fails) {
+		for _, f := range fails.Cells {
+			errs[f.Index] = f.Err
+		}
+	}
+	return errs
 }
 
 // runCell runs one cell behind a panic shield: a panic inside the

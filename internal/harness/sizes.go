@@ -73,7 +73,7 @@ func prIters(opt Options) int {
 // Kronecker graph: pr (best per mode), bfs (switching), sssp.
 func graphWorkloads(opt Options) []workloads.Workload {
 	g, gt := sharedGraph(opt)
-	wg := weightedSharedGraph(opt)
+	wg := weighted(g, 42+opt.Seed)
 	return []workloads.Workload{
 		workloads.PageRank{G: g, GT: gt, Iters: prIters(opt), Best: true},
 		workloads.BFS{G: g, GT: gt, Src: -1},
@@ -84,7 +84,7 @@ func graphWorkloads(opt Options) []workloads.Workload {
 // irregularWorkloads returns the Fig-13 policy-sensitivity set.
 func irregularWorkloads(opt Options) []workloads.Workload {
 	g, gt := sharedGraph(opt)
-	wg := weightedSharedGraph(opt)
+	wg := weighted(g, 42+opt.Seed)
 	ws := []workloads.Workload{
 		workloads.PageRank{G: g, GT: gt, Iters: prIters(opt), Dir: graph.Push},
 		workloads.PageRank{G: g, GT: gt, Iters: prIters(opt), Dir: graph.Pull},
@@ -96,11 +96,6 @@ func irregularWorkloads(opt Options) []workloads.Workload {
 
 // AllWorkloads returns Fig 12's ten benchmarks at the given scale.
 func AllWorkloads(opt Options) []workloads.Workload {
-	return allWorkloads(opt)
-}
-
-// allWorkloads returns Fig 12's ten benchmarks.
-func allWorkloads(opt Options) []workloads.Workload {
 	ws := affineWorkloads(opt, 1)
 	ws = append(ws, graphWorkloads(opt)...)
 	ws = append(ws, pointerWorkloads(opt)...)

@@ -118,7 +118,8 @@ func TestNoisyNeighbor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := trace.Replay(c, trace.Options{Faults: "dead-banks=2"}); err != nil {
+	c.Faults = "dead-banks=2"
+	if _, err := trace.Replay(c, trace.Options{}); err != nil {
 		t.Fatalf("faulted colocation replay: %v", err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"affinityalloc/internal/core"
 	"affinityalloc/internal/engine"
-	"affinityalloc/internal/faults"
 	"affinityalloc/internal/memsim"
 	"affinityalloc/internal/stream"
 	"affinityalloc/internal/sys"
@@ -21,20 +20,9 @@ const DefaultWindow = 12
 // Options adjusts how a scenario is replayed. The zero value replays
 // exactly as recorded — the replay-differential configuration.
 type Options struct {
-	// Mode overrides the execution mode (sys.Mode spelling). Replaying
-	// an Aff-Alloc-recorded scenario under In-Core/Near-L3 remaps
-	// affinity-aware allocations onto the baseline allocator, exactly as
-	// System.Alloc and the co-designed structures would have.
-	Mode string
-	// Faults overrides the fault spec: "" keeps the recorded spec,
-	// "none" replays on a clean machine, anything else is parsed.
-	Faults string
 	// Policy overrides the irregular bank policy (core.ParsePolicy
 	// spelling); "" keeps the recorded policy.
 	Policy string
-	// Window bounds outstanding replayed accesses per tenant
-	// (DefaultWindow when 0).
-	Window int
 }
 
 // Placement is one allocation outcome, recorded or replayed — the unit
@@ -108,17 +96,6 @@ func Replay(sc *Scenario, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch opt.Faults {
-	case "":
-	case "none":
-		cfg.Faults = faults.Spec{}
-	default:
-		f, ferr := faults.Parse(opt.Faults)
-		if ferr != nil {
-			return nil, ferr
-		}
-		cfg.Faults = f
-	}
 	if opt.Policy != "" {
 		p, perr := core.ParsePolicy(opt.Policy)
 		if perr != nil {
@@ -132,26 +109,17 @@ func Replay(sc *Scenario, opt Options) (*Result, error) {
 			return nil, err
 		}
 	}
-	if opt.Mode != "" {
-		if mode, err = sys.ParseMode(opt.Mode); err != nil {
-			return nil, err
-		}
-	}
 	s, err := sys.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 
-	window := opt.Window
-	if window <= 0 {
-		window = DefaultWindow
-	}
 	res := &Result{Scenario: sc, Mode: mode, System: s}
 	tenants := make(map[int]*tenantState)
 	tn := func(t int) *tenantState {
 		ts := tenants[t]
 		if ts == nil {
-			ts = &tenantState{handles: make(map[int64]*handle), ops: stream.NewOpWindow(window)}
+			ts = &tenantState{handles: make(map[int64]*handle), ops: stream.NewOpWindow(DefaultWindow)}
 			tenants[t] = ts
 		}
 		return ts

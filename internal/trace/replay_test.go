@@ -102,16 +102,13 @@ func TestReplayAfterEncodeRoundTrip(t *testing.T) {
 	}
 }
 
-// Replay must accept mode/policy/faults overrides and still
-// produce a deterministic result (same overrides → same placements).
+// Replay must accept a policy override and still produce a
+// deterministic result (same override → same placements).
 func TestReplayOverridesAreDeterministic(t *testing.T) {
 	sc := recordUnder(t, tinyHashJoin(), sys.AffAlloc, 1, "")
 	opts := []trace.Options{
-		{Mode: "In-Core"},
-		{Mode: "Near-L3"},
 		{Policy: "minhop"},
 		{Policy: "rnd"},
-		{Faults: "dead-banks=1"},
 	}
 	for _, opt := range opts {
 		a, err := trace.Replay(sc, opt)
