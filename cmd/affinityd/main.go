@@ -8,7 +8,7 @@
 // Usage:
 //
 //	affinityd [-addr 127.0.0.1:7077] [-seed N] [-policy hybrid5]
-//	          [-faults dead-banks=2] [-journal DIR] [-snap-every N]
+//	          [-faults dead-banks=2] [-journal DIR] [-journal-reset]
 //	          [-fsync] [-queue-depth N] [-metrics-out m.json]
 //	          [-pprof cpu.prof]
 //
@@ -23,7 +23,10 @@
 // before the listener opens (a corrupt journal refuses startup; pass
 // -journal-reset to discard history deliberately); replay happens after,
 // so /healthz answers immediately while /readyz reports not-ready until
-// every machine has finished replaying.
+// every machine has finished replaying. Each machine has one file in
+// DIR, <id>.waj; every 256 operation records it carries a snapshot
+// record that replay checks the rebuilt state against. A <id>.snap file
+// an older daemon left in DIR is ignored.
 //
 // Endpoints: GET /healthz (liveness), GET /readyz (readiness — 503
 // during journal replay and shutdown drain), GET /metricsz
@@ -62,19 +65,18 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:7077", "listen address (host:port; port 0 picks a free port)")
 		journalDir   = flag.String("journal", "", "write-ahead journal directory (empty = in-memory only)")
 		journalReset = flag.Bool("journal-reset", false, "discard existing journals in -journal instead of recovering them")
-		snapEvery    = flag.Int("snap-every", 0, "journal records between snapshots (0 = default 256, negative disables)")
 		fsync        = flag.Bool("fsync", false, "fsync every journal append (power-loss durability)")
 		queueDepth   = flag.Int("queue-depth", 0, "per-machine admission queue depth (0 = default 256)")
 	)
 	flag.Parse()
 
-	if err := run(cc, *addr, *journalDir, *journalReset, *snapEvery, *fsync, *queueDepth); err != nil {
+	if err := run(cc, *addr, *journalDir, *journalReset, *fsync, *queueDepth); err != nil {
 		fmt.Fprintln(os.Stderr, "affinityd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(cc *cliconf.Config, addr, journalDir string, journalReset bool, snapEvery int, fsync bool, queueDepth int) error {
+func run(cc *cliconf.Config, addr, journalDir string, journalReset bool, fsync bool, queueDepth int) error {
 	// Validate the fleet defaults up front so a bad -policy/-faults is
 	// one named startup error, not a failure on every registration.
 	if _, err := cc.Policy(); err != nil {
@@ -107,10 +109,9 @@ func run(cc *cliconf.Config, addr, journalDir string, journalReset bool, snapEve
 			Policy: cc.PolicyStr,
 			Faults: cc.FaultsStr,
 		},
-		JournalDir:    journalDir,
-		SnapshotEvery: snapEvery,
-		SyncWrites:    fsync,
-		QueueDepth:    queueDepth,
+		JournalDir: journalDir,
+		SyncWrites: fsync,
+		QueueDepth: queueDepth,
 	})
 
 	// Phase one of recovery runs before the listener opens: every

@@ -11,8 +11,7 @@ package affinityd
 import "context"
 
 // defaultQueueDepth bounds a machine's admission queue when Options
-// leaves QueueDepth zero. With ≤32-job admission rounds this is several
-// rounds of headroom; past it the machine is genuinely behind and
+// leaves QueueDepth zero. Past it the machine is genuinely behind and
 // shedding beats queueing.
 const defaultQueueDepth = 256
 
@@ -32,8 +31,8 @@ type job struct {
 	// block is a test hook: a non-nil channel holds the worker inside
 	// exec until it is closed, so tests can fill the admission queue.
 	// entered, if also non-nil, is closed by the worker on entry — the
-	// only reliable signal that the admission drain loop is done and
-	// later submissions really queue behind the wedged worker.
+	// only reliable signal that the worker has taken this job off the
+	// queue and later submissions really queue behind it.
 	block   chan struct{}
 	entered chan struct{}
 	out     chan jobResult
@@ -48,9 +47,6 @@ type jobResult struct {
 	replayed bool
 	err      error
 }
-
-// admitMax bounds how many queued jobs one admission round coalesces.
-const defaultAdmitMax = 32
 
 // submit hands a job to the worker. The reply arrives on j.out exactly
 // once, whether the job executed or the machine closed underneath it.
@@ -80,32 +76,18 @@ func (m *machine) submit(j *job) error {
 }
 
 // serve is the worker loop: one goroutine owns the machine's placement
-// state, admitting queued jobs in batches so concurrent tenant streams
-// amortize the queue handoff, and executing them in admission order —
+// state and runs each job as it is received, in admission order —
 // which is what keeps a seeded request stream deterministic.
 func (m *machine) serve() {
 	defer close(m.done)
 	for {
-		var first *job
 		select {
-		case first = <-m.jobs:
+		case j := <-m.jobs:
+			m.batches.Add(1)
+			j.out <- m.exec(j)
 		case <-m.quit:
 			m.drainAndFail()
 			return
-		}
-		batch := []*job{first}
-		for len(batch) < defaultAdmitMax {
-			select {
-			case j := <-m.jobs:
-				batch = append(batch, j)
-			default:
-				goto admitted
-			}
-		}
-	admitted:
-		m.batches.Add(1)
-		for _, j := range batch {
-			j.out <- m.exec(j)
 		}
 	}
 }

@@ -22,17 +22,18 @@ package affinityd
 // corruption, and recovery fails loudly with a typed *JournalError
 // rather than silently serving a machine whose history is wrong.
 //
-// Snapshots (<machine>.snap, written atomically via rename every
-// Options.SnapshotEvery records) are consistency checkpoints, not
-// replay truncation: allocator state is history-dependent (seeded RNG,
-// pool free lists), so byte-identical reconstruction requires replaying
-// the full record stream. What a snapshot buys is a cross-check — at
-// the snapshot's sequence number the replayed state must hash to the
-// snapshot's state sum, or recovery fails loudly — plus a cheap summary
-// an operator can read without replaying anything.
+// Every snapshotEvery operation records the worker also appends a
+// snapshot record, framed and numbered like the rest: the alloc count,
+// the live-handle count and a digest of the live placement state. It is
+// a consistency checkpoint, not replay truncation: allocator state is
+// history-dependent (seeded RNG, pool free lists), so byte-identical
+// reconstruction requires replaying the full record stream. What it
+// buys is a cross-check — when replay reaches a snapshot record the
+// reconstructed state must match it, or recovery fails loudly. Because
+// it lives in the journal, the one framing, torn-tail rule and sequence
+// check cover it too.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -49,11 +50,8 @@ import (
 // format version and the machine ID the file belongs to.
 const journalMagic = "affinityd-journal/v1"
 
-// Journal file suffixes under the journal directory.
-const (
-	journalExt  = ".waj"
-	snapshotExt = ".snap"
-)
+// journalExt is the journal file suffix under the journal directory.
+const journalExt = ".waj"
 
 // Journal record kinds, in the order a machine's life emits them.
 const (
@@ -61,7 +59,12 @@ const (
 	recPool     = "pool"
 	recAlloc    = "alloc"
 	recFree     = "free"
+	recSnapshot = "snapshot"
 )
+
+// snapshotEvery is how many operation records (pool, alloc, free) the
+// worker commits between snapshot records.
+const snapshotEvery = 256
 
 // Record is one committed operation in a machine's write-ahead journal.
 // Exactly one kind-specific payload is set.
@@ -79,11 +82,12 @@ type Record struct {
 	Interleave int            `json:"interleave,omitempty"` // recPool
 	Allocs     []AllocRequest `json:"allocs,omitempty"`     // recAlloc
 	Frees      []string       `json:"frees,omitempty"`      // recFree
+	Snapshot   *Snapshot      `json:"snapshot,omitempty"`   // recSnapshot
 }
 
-// JournalError reports a journal or snapshot that cannot be recovered
-// from: a malformed record before the tail, a sequence gap, a header
-// mismatch, or a snapshot whose state sum disagrees with replay. It is
+// JournalError reports a journal that cannot be recovered from: a
+// malformed record before the tail, a sequence gap, a header mismatch,
+// or a snapshot record that disagrees with replayed state. It is
 // deliberately loud — serving a machine whose history is corrupt would
 // corrupt placements silently.
 type JournalError struct {
@@ -108,13 +112,9 @@ type journal struct {
 	sync bool // fsync after every append (power-loss durability)
 }
 
-// journalPath/snapshotPath name a machine's files under dir.
+// journalPath names a machine's journal under dir.
 func journalPath(dir, machineID string) string {
 	return filepath.Join(dir, machineID+journalExt)
-}
-
-func snapshotPath(dir, machineID string) string {
-	return filepath.Join(dir, machineID+snapshotExt)
 }
 
 // createJournal starts a fresh journal for machineID, writing the
@@ -286,26 +286,19 @@ func parseRecord(line []byte) (Record, error) {
 		return rec, fmt.Errorf("record does not parse: %v", err)
 	}
 	switch rec.Kind {
-	case recRegister, recPool, recAlloc, recFree:
+	case recRegister, recPool, recAlloc, recFree, recSnapshot:
 	default:
 		return rec, fmt.Errorf("unknown record kind %q", rec.Kind)
 	}
 	return rec, nil
 }
 
-// Snapshot is the periodic consistency checkpoint beside a journal: the
-// serving counters and a hash of the live placement state at one
-// sequence number. Replay verifies StateSum when it passes Seq; a
-// mismatch means journal and snapshot disagree about history and
-// recovery fails loudly.
+// Snapshot is the payload of a snapshot record: the alloc count, the
+// live-handle count and a hash of the live placement state after the
+// record before it. Replay checks all three when it reaches the record.
 type Snapshot struct {
-	MachineID   string `json:"machine_id"`
-	Seq         uint64 `json:"seq"`
 	Allocs      uint64 `json:"allocs"`
-	Frees       uint64 `json:"frees"`
-	AllocErrors uint64 `json:"alloc_errors"`
 	LiveHandles int    `json:"live_handles"`
-	Batches     int    `json:"batches"` // committed idempotency keys
 	StateSum    string `json:"state_sum"`
 }
 
@@ -324,43 +317,4 @@ func stateSum(handles map[string]*handle) string {
 		fmt.Fprintf(h, "%s=%x:%x\n", id, uint64(hd.base), hd.bytes)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// writeSnapshot writes snap atomically (temp file + rename), so a crash
-// mid-snapshot leaves the previous snapshot intact, never a torn one.
-func writeSnapshot(path string, snap *Snapshot) error {
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("affinityd: write snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("affinityd: publish snapshot: %w", err)
-	}
-	return nil
-}
-
-// readSnapshot loads a snapshot; a missing file is (nil, nil) — having
-// no snapshot yet is normal, a malformed one is not.
-func readSnapshot(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var snap Snapshot
-	dec := json.NewDecoder(bufio.NewReader(f))
-	if err := dec.Decode(&snap); err != nil {
-		return nil, &JournalError{Path: path, Reason: fmt.Sprintf("snapshot does not parse: %v", err)}
-	}
-	if snap.Seq == 0 || snap.MachineID == "" || snap.StateSum == "" {
-		return nil, &JournalError{Path: path, Reason: "snapshot missing seq, machine_id, or state_sum"}
-	}
-	return &snap, nil
 }

@@ -21,6 +21,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		{Kind: recPool, Interleave: 64},
 		{Kind: recAlloc, Batch: "b1", Allocs: []AllocRequest{{ID: "a", ElemSize: 4, NumElem: 64}}},
 		{Kind: recFree, Batch: "b2", Frees: []string{"a"}},
+		{Kind: recSnapshot, Snapshot: &Snapshot{Allocs: 1, StateSum: "00deadbeef000000"}},
 	}
 	for _, r := range recs {
 		if err := j.append(r); err != nil {
@@ -55,6 +56,9 @@ func TestJournalRoundTrip(t *testing.T) {
 	if lg.records[2].Allocs[0].ID != "a" {
 		t.Errorf("alloc payload lost: %+v", lg.records[2])
 	}
+	if got := lg.records[4].Snapshot; got == nil || *got != *recs[4].Snapshot {
+		t.Errorf("snapshot payload %+v, want %+v", got, recs[4].Snapshot)
+	}
 }
 
 // TestJournalTornTailTruncates pins the kill -9 contract: a final line
@@ -68,6 +72,8 @@ func TestJournalTornTailTruncates(t *testing.T) {
 	}{
 		{"no_newline", `deadbeef {"seq":3,"kind":"pool","interl`},
 		{"bad_crc_last_line", `deadbeef {"seq":3,"kind":"pool","interleave":64}` + "\n"},
+		{"snapshot_no_newline", `deadbeef {"seq":3,"kind":"snapshot","snapshot":{"allocs":0,"live_han`},
+		{"snapshot_bad_crc", `deadbeef {"seq":3,"kind":"snapshot","snapshot":{"allocs":0,"live_handles":0,"state_sum":"cbf29ce484222325"}}` + "\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -175,36 +181,5 @@ func TestJournalCorruptionFailsLoudly(t *testing.T) {
 	}
 	if _, err := readJournal(path); !errors.As(err, &jerr) {
 		t.Fatalf("sequence gap returned %v, want a *JournalError", err)
-	}
-}
-
-// TestSnapshotRoundTrip pins snapshot atomicity plumbing: write, read
-// back, and the missing-file case is (nil, nil).
-func TestSnapshotRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := snapshotPath(dir, "m000001")
-	if snap, err := readSnapshot(path); snap != nil || err != nil {
-		t.Fatalf("missing snapshot = (%v, %v), want (nil, nil)", snap, err)
-	}
-	want := &Snapshot{MachineID: "m000001", Seq: 42, Allocs: 30, Frees: 5,
-		LiveHandles: 25, Batches: 10, StateSum: "00deadbeef000000"}
-	if err := writeSnapshot(path, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *want {
-		t.Errorf("snapshot round trip changed the value: %+v vs %+v", got, want)
-	}
-
-	// A malformed snapshot is loud, like a malformed journal.
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var jerr *JournalError
-	if _, err := readSnapshot(path); !errors.As(err, &jerr) {
-		t.Errorf("malformed snapshot returned %v, want a *JournalError", err)
 	}
 }

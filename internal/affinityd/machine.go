@@ -89,10 +89,7 @@ type machine struct {
 	// metric scrapes.
 	journal    *journal
 	journalSeq atomic.Uint64
-	snapPath   string
-	snapEvery  int
-	sinceSnap  int
-	snapshots  atomic.Uint64
+	snapshots  atomic.Uint64 // snapshot records this process appended
 
 	// pools holds the serving counters of each interleaving, keyed by
 	// interleave; 0 is the baseline heap, which has no pool.
@@ -114,7 +111,7 @@ type machine struct {
 	// latency is the server-wide placement-latency histogram (shared
 	// across machines; the worker observes one sample per placement).
 	latency *telemetry.Hist
-	batches *atomic.Uint64 // admitted batches, server-wide
+	batches *atomic.Uint64 // admitted jobs, server-wide
 }
 
 // batchResultCap bounds the cached batch results per machine: the
@@ -127,8 +124,6 @@ const batchResultCap = 4096
 type machineOpts struct {
 	queueDepth int
 	journal    *journal // nil = journaling off
-	snapPath   string
-	snapEvery  int
 	latency    *telemetry.Hist
 	batches    *atomic.Uint64
 	// replaying builds the machine in replay mode: the worker is not
@@ -141,23 +136,21 @@ func newMachine(id string, spec MachineSpec, cfg sys.Config, s *sys.System, o ma
 		o.queueDepth = defaultQueueDepth
 	}
 	m := &machine{
-		id:        id,
-		spec:      spec,
-		cfg:       cfg,
-		sys:       s,
-		created:   time.Now(),
-		jobs:      make(chan *job, o.queueDepth),
-		quit:      make(chan struct{}),
-		done:      make(chan struct{}),
-		handles:   make(map[string]*handle),
-		seen:      make(map[string]struct{}),
-		results:   make(map[string]jobResult),
-		pools:     make(map[int]*PoolInfo),
-		journal:   o.journal,
-		snapPath:  o.snapPath,
-		snapEvery: o.snapEvery,
-		latency:   o.latency,
-		batches:   o.batches,
+		id:      id,
+		spec:    spec,
+		cfg:     cfg,
+		sys:     s,
+		created: time.Now(),
+		jobs:    make(chan *job, o.queueDepth),
+		quit:    make(chan struct{}),
+		done:    make(chan struct{}),
+		handles: make(map[string]*handle),
+		seen:    make(map[string]struct{}),
+		results: make(map[string]jobResult),
+		pools:   make(map[int]*PoolInfo),
+		journal: o.journal,
+		latency: o.latency,
+		batches: o.batches,
 	}
 	if m.journal != nil {
 		m.journalSeq.Store(m.journal.seq)
@@ -292,12 +285,15 @@ func recordForJob(j *job) *Record {
 // execution path as serving (apply + remember), minus re-journaling.
 // Operation-level failures are not recovery failures — a journaled
 // batch that failed deterministically fails identically on replay,
-// which is exactly the reconstruction we want.
-func (m *machine) applyRecord(rec *Record) {
+// which is exactly the reconstruction we want. The error is for a
+// snapshot record the replayed state does not match.
+func (m *machine) applyRecord(rec *Record) error {
 	var j *job
 	switch rec.Kind {
 	case recRegister:
-		return // consumed when the machine was rebuilt
+		return nil // consumed when the machine was rebuilt
+	case recSnapshot:
+		return m.checkSnapshot(rec.Snapshot)
 	case recPool:
 		j = &job{openPool: rec.Interleave}
 	case recAlloc:
@@ -305,36 +301,43 @@ func (m *machine) applyRecord(rec *Record) {
 	case recFree:
 		j = &job{frees: rec.Frees, batch: rec.Batch}
 	default:
-		return // readJournal rejects unknown kinds before replay
+		return nil // readJournal rejects unknown kinds before replay
 	}
 	res := m.apply(j)
 	if j.batch != "" {
 		m.remember(j.batch, res)
 	}
+	return nil
 }
 
-// maybeSnapshot writes the periodic consistency checkpoint after every
-// snapEvery committed records.
+// snapshot captures the values a snapshot record carries.
+func (m *machine) snapshot() Snapshot {
+	return Snapshot{Allocs: m.allocs.Load(), LiveHandles: len(m.handles), StateSum: stateSum(m.handles)}
+}
+
+// checkSnapshot compares a snapshot record with the replayed state.
+func (m *machine) checkSnapshot(want *Snapshot) error {
+	if want == nil {
+		return errors.New("snapshot record carries no snapshot")
+	}
+	if got := m.snapshot(); got != *want {
+		return fmt.Errorf("replayed state (allocs %d, live handles %d, state sum %s) differs from the snapshot record (allocs %d, live handles %d, state sum %s)",
+			got.Allocs, got.LiveHandles, got.StateSum, want.Allocs, want.LiveHandles, want.StateSum)
+	}
+	return nil
+}
+
+// maybeSnapshot appends a snapshot record after every snapshotEvery
+// operation records. The register record and each snapshot record take
+// the seq just before a run of operation records, so a run is complete
+// when the seq is a multiple of snapshotEvery+1.
 func (m *machine) maybeSnapshot() {
-	if m.journal == nil || m.snapEvery <= 0 {
+	if m.journal == nil || m.journal.seq%(snapshotEvery+1) != 0 {
 		return
 	}
-	m.sinceSnap++
-	if m.sinceSnap < m.snapEvery {
-		return
-	}
-	m.sinceSnap = 0
-	snap := &Snapshot{
-		MachineID:   m.id,
-		Seq:         m.journal.seq,
-		Allocs:      m.allocs.Load(),
-		Frees:       m.frees.Load(),
-		AllocErrors: m.allocErrs.Load(),
-		LiveHandles: len(m.handles),
-		Batches:     len(m.seen),
-		StateSum:    stateSum(m.handles),
-	}
-	if writeSnapshot(m.snapPath, snap) == nil {
+	snap := m.snapshot()
+	if m.journal.append(&Record{Kind: recSnapshot, Snapshot: &snap}) == nil {
+		m.journalSeq.Store(m.journal.seq)
 		m.snapshots.Add(1)
 	}
 }

@@ -5,8 +5,8 @@ package affinityd
 //
 //  1. PrepareRecovery — synchronous, before the listener opens. Every
 //     journal in Options.JournalDir is read and verified end to end
-//     (header, CRC per record, consecutive sequence numbers, snapshot
-//     well-formedness). Corruption fails startup here with a typed
+//     (header, CRC per record, consecutive sequence numbers).
+//     Corruption fails startup here with a typed
 //     *JournalError: the daemon refuses to come up and serve a machine
 //     whose history is wrong. Machines that verify are rebuilt from
 //     their register record and installed in replaying mode — they
@@ -17,10 +17,14 @@ package affinityd
 //     /readyz answer during a long replay. Each machine's record
 //     stream is re-executed through the same placement entry points
 //     serving uses; determinism makes the result byte-identical to the
-//     pre-crash state. When replay passes a snapshot's sequence number
-//     the reconstructed state must hash to the snapshot's state sum.
-//     Torn journal tails are truncated, journals reopen for appending,
-//     and each machine flips to serving as its own replay completes.
+//     pre-crash state. When replay reaches a snapshot record the
+//     reconstructed state must match it, or replay fails with a
+//     *JournalError naming the record's line. Torn journal tails are
+//     truncated, journals reopen for appending, and each machine flips
+//     to serving as its own replay completes.
+//
+// Only <id>.waj files are read; a <id>.snap file an older daemon left
+// beside a journal is ignored.
 
 import (
 	"fmt"
@@ -37,11 +41,12 @@ import (
 type RecoveryStats struct {
 	// Machines recovered (journals found and verified).
 	Machines int
-	// Records replayed across all machines (excluding register records).
+	// Records replayed across all machines: pool, alloc and free
+	// records only, never register or snapshot records.
 	Records int
 	// TornTails truncated — journals whose final append was cut short.
 	TornTails int
-	// Snapshots verified against replayed state.
+	// Snapshots is how many snapshot records matched replayed state.
 	Snapshots int
 }
 
@@ -59,9 +64,8 @@ type Recovery struct {
 
 // pendingMachine is one verified-but-not-yet-replayed machine.
 type pendingMachine struct {
-	m    *machine
-	log  *journalLog
-	snap *Snapshot
+	m   *machine
+	log *journalLog
 }
 
 // PrepareRecovery runs phase one. On success the returned Recovery
@@ -89,22 +93,6 @@ func (s *Server) PrepareRecovery() (*Recovery, error) {
 			return nil, &JournalError{Path: path, Line: 1,
 				Reason: fmt.Sprintf("header names machine %q but the file is %s%s", lg.machineID, id, journalExt)}
 		}
-		snapPath := snapshotPath(s.opts.JournalDir, id)
-		snap, err := readSnapshot(snapPath)
-		if err != nil {
-			return nil, err
-		}
-		lastSeq := lg.records[len(lg.records)-1].Seq
-		if snap != nil {
-			if snap.MachineID != id {
-				return nil, &JournalError{Path: snapPath,
-					Reason: fmt.Sprintf("snapshot names machine %q, want %q", snap.MachineID, id)}
-			}
-			if snap.Seq > lastSeq {
-				return nil, &JournalError{Path: snapPath,
-					Reason: fmt.Sprintf("snapshot is at seq %d but the journal ends at %d", snap.Seq, lastSeq)}
-			}
-		}
 
 		// The register record carries the spec the tenant actually got
 		// (fleet defaults already merged at original registration), so
@@ -123,8 +111,6 @@ func (s *Server) PrepareRecovery() (*Recovery, error) {
 		}
 		m := newMachine(id, spec, cfg, system, machineOpts{
 			queueDepth: s.opts.QueueDepth,
-			snapPath:   snapPath,
-			snapEvery:  s.opts.SnapshotEvery,
 			latency:    &s.placements,
 			batches:    &s.batches,
 			replaying:  true,
@@ -133,7 +119,7 @@ func (s *Server) PrepareRecovery() (*Recovery, error) {
 			return nil, err
 		}
 		s.replayingN.Add(1)
-		r.pending = append(r.pending, &pendingMachine{m: m, log: lg, snap: snap})
+		r.pending = append(r.pending, &pendingMachine{m: m, log: lg})
 		if n, err := strconv.ParseUint(strings.TrimPrefix(id, "m"), 10, 64); err == nil && n > maxID {
 			maxID = n
 		}
@@ -150,8 +136,9 @@ func (s *Server) PrepareRecovery() (*Recovery, error) {
 }
 
 // Replay runs phase two: re-executes every verified journal, checks
-// snapshots against the reconstructed state, truncates torn tails,
-// reopens journals for appending, and flips each machine to serving.
+// snapshot records against the reconstructed state, truncates torn
+// tails, reopens journals for appending, and flips each machine to
+// serving.
 // On error the offending machine stays in replaying mode (still 503,
 // never wrong answers) and the error says why.
 func (r *Recovery) Replay() (RecoveryStats, error) {
@@ -169,21 +156,20 @@ func (r *Recovery) replayOne(p *pendingMachine) error {
 	m, lg := p.m, p.log
 	for i := range lg.records {
 		rec := &lg.records[i]
-		if rec.Kind == recRegister {
-			if rec.Seq != 1 {
-				return &JournalError{Path: lg.path,
-					Reason: fmt.Sprintf("register record at seq %d, want 1", rec.Seq)}
-			}
-			continue
+		line := i + 2 // the header is line 1
+		if rec.Kind == recRegister && rec.Seq != 1 {
+			return &JournalError{Path: lg.path, Line: line,
+				Reason: fmt.Sprintf("register record at seq %d, want 1", rec.Seq)}
 		}
-		m.applyRecord(rec)
-		r.stats.Records++
-		r.s.replayedRecords.Add(1)
-		if p.snap != nil && rec.Seq == p.snap.Seq {
-			if err := verifySnapshot(p.snap, m); err != nil {
-				return err
-			}
+		if err := m.applyRecord(rec); err != nil {
+			return &JournalError{Path: lg.path, Line: line, Reason: err.Error()}
+		}
+		switch rec.Kind {
+		case recSnapshot:
 			r.stats.Snapshots++
+		case recPool, recAlloc, recFree:
+			r.stats.Records++
+			r.s.replayedRecords.Add(1)
 		}
 	}
 	if lg.torn {
@@ -201,32 +187,7 @@ func (r *Recovery) replayOne(p *pendingMachine) error {
 	}
 	m.journal = j
 	m.journalSeq.Store(lastSeq)
-	// Records replayed past the last snapshot count toward the next one.
-	if p.snap != nil {
-		m.sinceSnap = int(lastSeq - p.snap.Seq)
-	} else {
-		m.sinceSnap = int(lastSeq)
-	}
 	m.finishReplay()
-	return nil
-}
-
-// verifySnapshot cross-checks a snapshot against the state replay
-// reconstructed at the snapshot's sequence number.
-func verifySnapshot(snap *Snapshot, m *machine) error {
-	if got := stateSum(m.handles); got != snap.StateSum {
-		return &JournalError{Path: m.snapPath, Reason: fmt.Sprintf(
-			"state sum mismatch at seq %d: replay %s, snapshot %s — journal and snapshot disagree about history",
-			snap.Seq, got, snap.StateSum)}
-	}
-	if got := m.allocs.Load(); got != snap.Allocs {
-		return &JournalError{Path: m.snapPath, Reason: fmt.Sprintf(
-			"alloc count mismatch at seq %d: replay %d, snapshot %d", snap.Seq, got, snap.Allocs)}
-	}
-	if got := len(m.handles); got != snap.LiveHandles {
-		return &JournalError{Path: m.snapPath, Reason: fmt.Sprintf(
-			"live handle count mismatch at seq %d: replay %d, snapshot %d", snap.Seq, got, snap.LiveHandles)}
-	}
 	return nil
 }
 
@@ -241,19 +202,17 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	return r.Replay()
 }
 
-// RemoveJournalDir deletes every journal and snapshot under dir,
-// leaving other files alone. Operators use it (via -journal-reset) to
-// deliberately discard placement history.
+// RemoveJournalDir deletes every journal under dir, leaving other
+// files alone. Operators use it (via -journal-reset) to deliberately
+// discard placement history.
 func RemoveJournalDir(dir string) error {
-	for _, ext := range []string{journalExt, snapshotExt} {
-		paths, err := filepath.Glob(filepath.Join(dir, "*"+ext))
-		if err != nil {
+	paths, err := filepath.Glob(filepath.Join(dir, "*"+journalExt))
+	if err != nil {
+		return err
+	}
+	for _, p := range paths {
+		if err := os.Remove(p); err != nil {
 			return err
-		}
-		for _, p := range paths {
-			if err := os.Remove(p); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -25,6 +29,11 @@ func newJournaledServer(t *testing.T, dir string, opts Options) (*Server, *Clien
 	}
 	return srv, NewClient(ts.URL), stop
 }
+
+// snapshotRounds rounds of 16 requests from a StreamGen commit an alloc
+// and a free record each, about 279 records: past the first snapshot
+// record, which follows the 256th operation record.
+const snapshotRounds = 140
 
 // drive pushes rounds of one seeded stream at a machine and returns
 // every placement, in order.
@@ -54,7 +63,7 @@ func drive(t *testing.T, client *Client, machineID string, gen *StreamGen, round
 // the stream continues, and every placement must be byte-identical to
 // an uninterrupted run of the same seeded stream.
 func TestCrashRecoveryDifferential(t *testing.T) {
-	const seed, rounds, perRound, crashAt = 7, 24, 16, 11
+	const seed, rounds, perRound, crashAt = 7, snapshotRounds + 12, 16, snapshotRounds
 
 	// The uninterrupted oracle.
 	_, oracleClient := newTestServer(t)
@@ -64,10 +73,10 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 	}
 	oracle := drive(t, oracleClient, oreg.MachineID, NewStreamGen(seed, 0), rounds, perRound)
 
-	// The crashed run: journal on, snapshots every few records so replay
-	// crosses several checkpoints.
+	// The crashed run: journal on, and enough records before the crash
+	// that replay crosses a snapshot record.
 	dir := t.TempDir()
-	srv1, client1, _ := newJournaledServer(t, dir, Options{SnapshotEvery: 5})
+	srv1, client1, _ := newJournaledServer(t, dir, Options{})
 	reg, err := client1.Register(bg, MachineSpec{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
@@ -80,8 +89,19 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 	// stops receiving requests, like a partitioned dead process.)
 	_ = srv1
 
+	lg, err := readJournal(journalPath(dir, reg.MachineID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := 0
+	for _, rec := range lg.records {
+		if rec.Kind != recRegister && rec.Kind != recSnapshot {
+			ops++
+		}
+	}
+
 	// Restart on the same journal directory.
-	srv2, client2, stop2 := newJournaledServer(t, dir, Options{SnapshotEvery: 5})
+	srv2, client2, stop2 := newJournaledServer(t, dir, Options{})
 	stats, err := srv2.Recover()
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
@@ -92,6 +112,9 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 	}
 	if stats.Snapshots == 0 {
 		t.Fatalf("recovery stats %+v: replay never verified a snapshot", stats)
+	}
+	if stats.Records != ops {
+		t.Errorf("recovery replayed %d records, want the %d operation records; snapshot records are not operations", stats.Records, ops)
 	}
 
 	// The machine survives the crash under the same ID, and the stream
@@ -347,39 +370,157 @@ func TestMalformedJournalRefusesStartup(t *testing.T) {
 	}
 }
 
-// TestSnapshotMismatchFailsReplay pins the checkpoint cross-check: a
-// snapshot whose state sum disagrees with replayed history fails Replay
-// loudly instead of serving a machine whose past is ambiguous.
-func TestSnapshotMismatchFailsReplay(t *testing.T) {
-	dir := t.TempDir()
-	_, client, _ := newJournaledServer(t, dir, Options{SnapshotEvery: 2})
+// rewriteJournal replaces a journal's records with edit's result,
+// framing each line as the journal writer does.
+func rewriteJournal(t *testing.T, path string, edit func([]Record) []Record) {
+	t.Helper()
+	lg, err := readJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.WriteString(journalMagic + " " + lg.machineID + "\n")
+	for _, rec := range edit(lg.records) {
+		payload, err := json.Marshal(&rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&buf, "%08x %s\n", crc32.ChecksumIEEE(payload), payload)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// getMachine returns h's GET /v1/machines/{id} body.
+func getMachine(t *testing.T, h http.Handler, id string) []byte {
+	t.Helper()
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("GET", "/v1/machines/"+id, nil))
+	body, _ := io.ReadAll(w.Result().Body)
+	if w.Code != http.StatusOK {
+		t.Fatalf("GET machine %s: %d %s", id, w.Code, body)
+	}
+	return body
+}
+
+// journalPastSnapshot registers a seed-7 machine on a journaled server
+// in dir, drives it past its first snapshot record, stops the server,
+// and returns the machine ID and the machine's GET body before the stop.
+func journalPastSnapshot(t *testing.T, dir string) (string, []byte) {
+	t.Helper()
+	srv, client, stop := newJournaledServer(t, dir, Options{})
+	defer stop()
 	reg, err := client.Register(bg, MachineSpec{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ {
-		if _, err := client.Alloc(bg, reg.MachineID, "", []AllocRequest{{ID: string(rune('a' + i)), ElemSize: 4, NumElem: 64}}); err != nil {
-			t.Fatal(err)
+	drive(t, client, reg.MachineID, NewStreamGen(7, 0), snapshotRounds, 16)
+	return reg.MachineID, getMachine(t, srv, reg.MachineID)
+}
+
+// TestSnapshotMismatchFailsReplay pins the checkpoint cross-check: a
+// snapshot record that disagrees with replayed history, or carries no
+// snapshot at all, fails Replay loudly with a *JournalError naming that
+// record's line, instead of serving a machine whose past is ambiguous.
+func TestSnapshotMismatchFailsReplay(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		edit   func(*Record)
+		reason string
+	}{
+		{"state_sum", func(r *Record) { r.Snapshot.StateSum = "ffffffffffffffff" }, "state sum ffffffffffffffff"},
+		{"live_handles", func(r *Record) { r.Snapshot.LiveHandles++ }, "differs from the snapshot record"},
+		{"no_payload", func(r *Record) { r.Snapshot = nil }, "carries no snapshot"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			id, _ := journalPastSnapshot(t, dir)
+			path := journalPath(dir, id)
+			line := 0
+			rewriteJournal(t, path, func(recs []Record) []Record {
+				for i := range recs {
+					if recs[i].Kind == recSnapshot {
+						tc.edit(&recs[i])
+						line = i + 2 // the header is line 1
+						break
+					}
+				}
+				return recs
+			})
+			if line == 0 {
+				t.Fatal("the journal holds no snapshot record")
+			}
+
+			srv2 := NewServer(Options{JournalDir: dir})
+			defer srv2.Close()
+			var jerr *JournalError
+			if _, err := srv2.Recover(); !errors.As(err, &jerr) {
+				t.Fatalf("snapshot mismatch recovered with %v, want a *JournalError", err)
+			}
+			if jerr.Path != path || jerr.Line != line {
+				t.Errorf("error names %s:%d, want %s:%d", jerr.Path, jerr.Line, path, line)
+			}
+			if !strings.Contains(jerr.Reason, tc.reason) {
+				t.Errorf("error reason %q does not say %q", jerr.Reason, tc.reason)
+			}
+		})
+	}
+}
+
+// TestRecoveryIgnoresStaleSnapFile pins the upgrade path from daemons
+// that kept snapshots in a second file: a journal with no snapshot
+// records, and an old <id>.snap beside it that no longer matches it,
+// recovers to the same GET /v1/machines/{id} bytes it served before.
+func TestRecoveryIgnoresStaleSnapFile(t *testing.T) {
+	dir := t.TempDir()
+	id, before := journalPastSnapshot(t, dir)
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if filepath.Ext(e.Name()) != journalExt {
+			t.Errorf("journal directory holds %s; a machine's journal should be its only file", e.Name())
 		}
 	}
-	spath := snapshotPath(dir, reg.MachineID)
-	snap, err := readSnapshot(spath)
-	if err != nil || snap == nil {
-		t.Fatalf("no snapshot written: %v", err)
-	}
-	snap.StateSum = "ffffffffffffffff"
-	if err := writeSnapshot(spath, snap); err != nil {
+
+	// Rewrite the journal as a daemon without snapshot records wrote
+	// it, and leave such a daemon's snapshot file beside it, at a seq
+	// past the journal's end, which that daemon refused to start on.
+	path := journalPath(dir, id)
+	var ops int
+	rewriteJournal(t, path, func(recs []Record) []Record {
+		var out []Record
+		for _, rec := range recs {
+			if rec.Kind != recSnapshot {
+				rec.Seq = uint64(len(out) + 1)
+				out = append(out, rec)
+			}
+		}
+		ops = len(out) - 1
+		if len(out) == len(recs) {
+			t.Fatal("the journal holds no snapshot record to strip")
+		}
+		return out
+	})
+	stale := fmt.Sprintf(`{"machine_id":%q,"seq":100000,"allocs":1,"frees":0,"alloc_errors":0,"live_handles":1,"batches":1,"state_sum":"ffffffffffffffff"}`, id)
+	if err := os.WriteFile(filepath.Join(dir, id+".snap"), []byte(stale+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	srv2 := NewServer(Options{JournalDir: dir})
 	defer srv2.Close()
-	var jerr *JournalError
-	if _, err := srv2.Recover(); !errors.As(err, &jerr) {
-		t.Fatalf("state-sum mismatch recovered with %v, want a *JournalError", err)
+	stats, err := srv2.Recover()
+	if err != nil {
+		t.Fatalf("recovery failed: %v", err)
 	}
-	if !strings.Contains(jerr.Reason, "state sum") {
-		t.Errorf("error reason %q does not name the state sum", jerr.Reason)
+	if stats.Records != ops || stats.Snapshots != 0 {
+		t.Errorf("recovery stats %+v, want %d records and no snapshots", stats, ops)
+	}
+	if after := getMachine(t, srv2, id); !bytes.Equal(after, before) {
+		t.Errorf("GET machine after recovery:\n %s\nwant\n %s", after, before)
 	}
 }
 

@@ -40,9 +40,6 @@ type Options struct {
 	// executes, and Recover rebuilds byte-identical placement state
 	// from it after a crash. Empty = in-memory only.
 	JournalDir string
-	// SnapshotEvery writes a consistency checkpoint beside each journal
-	// every N committed records (default 256; negative disables).
-	SnapshotEvery int
 	// SyncWrites fsyncs every journal append. A kill -9 never loses
 	// committed records even without it (appends are unbuffered single
 	// writes); fsync is for surviving power loss at a latency cost.
@@ -52,10 +49,6 @@ type Options struct {
 	// unboundedly.
 	QueueDepth int
 }
-
-// defaultSnapshotEvery is the snapshot cadence when Options leaves
-// SnapshotEvery zero.
-const defaultSnapshotEvery = 256
 
 // Server is the affinityd placement service: an http.Handler serving
 // the affinityd/v1 wire API over a registry of tenant machines.
@@ -98,9 +91,6 @@ type Server struct {
 // opts.JournalDir is set, call Recover (or PrepareRecovery + Replay)
 // before serving traffic to restore journaled machines.
 func NewServer(opts Options) *Server {
-	if opts.SnapshotEvery == 0 {
-		opts.SnapshotEvery = defaultSnapshotEvery
-	}
 	s := &Server{defaults: opts.Defaults, opts: opts, start: time.Now()}
 	empty := map[string]*machine{}
 	s.machines.Store(&empty)
@@ -200,18 +190,13 @@ func (s *Server) merge(spec MachineSpec) MachineSpec {
 }
 
 // machineOpts assembles the wiring a new machine shares with the server.
-func (s *Server) machineOpts(id string, j *journal) machineOpts {
-	o := machineOpts{
+func (s *Server) machineOpts(j *journal) machineOpts {
+	return machineOpts{
 		queueDepth: s.opts.QueueDepth,
 		journal:    j,
-		snapEvery:  s.opts.SnapshotEvery,
 		latency:    &s.placements,
 		batches:    &s.batches,
 	}
-	if j != nil {
-		o.snapPath = snapshotPath(s.opts.JournalDir, id)
-	}
-	return o
 }
 
 // Register assembles and registers a machine, returning its wire
@@ -241,7 +226,7 @@ func (s *Server) Register(spec MachineSpec) (RegisterResponse, error) {
 			return RegisterResponse{}, err
 		}
 	}
-	m := newMachine(id, spec, cfg, system, s.machineOpts(id, j))
+	m := newMachine(id, spec, cfg, system, s.machineOpts(j))
 
 	if err := s.install(m); err != nil {
 		m.stop()
@@ -279,7 +264,7 @@ func (s *Server) install(m *machine) error {
 }
 
 // deregister removes and stops a machine; reports whether it existed.
-// A journaled machine's files are removed with it — deregistration is
+// A journaled machine's journal is removed with it — deregistration is
 // the tenant saying this placement history is over.
 func (s *Server) deregister(id string) bool {
 	s.regMu.Lock()
@@ -299,7 +284,6 @@ func (s *Server) deregister(id string) bool {
 		m.stop()
 		if s.opts.JournalDir != "" {
 			os.Remove(journalPath(s.opts.JournalDir, id))
-			os.Remove(snapshotPath(s.opts.JournalDir, id))
 		}
 	}
 	return ok

@@ -73,7 +73,12 @@ func prIters(opt Options) int {
 // Kronecker graph: pr (best per mode), bfs (switching), sssp.
 func graphWorkloads(opt Options) []workloads.Workload {
 	g, gt := sharedGraph(opt)
-	wg := weighted(g, 42+opt.Seed)
+	return graphSuite(opt, g, gt, weighted(g, 42+opt.Seed))
+}
+
+// graphSuite lays out the graph workloads on g, its transpose gt and
+// its weighted view wg. With nil graphs they carry only their names.
+func graphSuite(opt Options, g, gt, wg *graph.Graph) []workloads.Workload {
 	return []workloads.Workload{
 		workloads.PageRank{G: g, GT: gt, Iters: prIters(opt), Best: true},
 		workloads.BFS{G: g, GT: gt, Src: -1},
@@ -96,8 +101,13 @@ func irregularWorkloads(opt Options) []workloads.Workload {
 
 // AllWorkloads returns Fig 12's ten benchmarks at the given scale.
 func AllWorkloads(opt Options) []workloads.Workload {
+	return fig12Suite(opt, graphWorkloads(opt))
+}
+
+// fig12Suite puts Fig 12's benchmarks in order around the graph
+// workloads graphs.
+func fig12Suite(opt Options, graphs []workloads.Workload) []workloads.Workload {
 	ws := affineWorkloads(opt, 1)
-	ws = append(ws, graphWorkloads(opt)...)
-	ws = append(ws, pointerWorkloads(opt)...)
-	return ws
+	ws = append(ws, graphs...)
+	return append(ws, pointerWorkloads(opt)...)
 }

@@ -13,10 +13,11 @@ import (
 // WorkloadNames lists every workload WorkloadExperiment runs by name:
 // Fig 12's ten benchmarks, then skew, the two-phase hotspot behind the
 // online-reallocation tests, which runs on its own but is not in the
-// Fig-12 suite.
+// Fig-12 suite. It builds no graph: the graph workloads are named
+// without one.
 func WorkloadNames(opt Options) []string {
 	var names []string
-	for _, w := range AllWorkloads(opt) {
+	for _, w := range fig12Suite(opt, graphSuite(opt, nil, nil, nil)) {
 		names = append(names, w.Name())
 	}
 	return append(names, workloads.DefaultSkew().Name())

@@ -166,6 +166,29 @@ func TestLookupAffineBuildsNoGraph(t *testing.T) {
 	}
 }
 
+// Listing the workload names builds no input: at paper scale the
+// Kronecker graph, its transpose and the weighted view are tens of MB,
+// so staying under 1 MB means no graph was generated. The names are
+// those of AllWorkloads (built at tiny scale), in its order, then skew.
+func TestWorkloadNamesBuildNoGraph(t *testing.T) {
+	opt := Options{Scale: Paper, Seed: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	names := WorkloadNames(opt)
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("listing workload names at paper scale allocated %d bytes, want < 1 MB", d)
+	}
+	var want []string
+	for _, w := range AllWorkloads(Options{Scale: Tiny, Seed: 1}) {
+		want = append(want, w.Name())
+	}
+	want = append(want, "skew")
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Errorf("names %v, want %v", names, want)
+	}
+}
+
 func TestSelect(t *testing.T) {
 	all, err := Select()
 	if err != nil || len(all) != len(Experiments()) {
