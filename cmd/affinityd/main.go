@@ -26,7 +26,8 @@
 // every machine has finished replaying. Each machine has one file in
 // DIR, <id>.waj; every 256 operation records it carries a snapshot
 // record that replay checks the rebuilt state against. A <id>.snap file
-// an older daemon left in DIR is ignored.
+// an older daemon left in DIR is ignored by recovery and deleted with
+// the journal, on deregistration or -journal-reset.
 //
 // Endpoints: GET /healthz (liveness), GET /readyz (readiness — 503
 // during journal replay and shutdown drain), GET /metricsz

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -119,7 +120,7 @@ func (c *Client) OpenPool(ctx context.Context, machineID string, interleave int)
 // the idempotency key that makes retrying safe; with an empty one the
 // call is not retried.
 func (c *Client) Alloc(ctx context.Context, machineID, batchID string, reqs []AllocRequest) (BatchAllocResponse, error) {
-	var resp BatchAllocResponse
+	resp := BatchAllocResponse{Placements: make([]Placement, 0, len(reqs))}
 	err := c.do(ctx, "POST", "/v1/machines/"+machineID+"/alloc",
 		BatchAllocRequest{BatchID: batchID, Requests: reqs}, &resp, batchID != "")
 	return resp, err
@@ -128,7 +129,7 @@ func (c *Client) Alloc(ctx context.Context, machineID, batchID string, reqs []Al
 // Free releases allocations by ID, under the same idempotency contract
 // as Alloc.
 func (c *Client) Free(ctx context.Context, machineID, batchID string, ids []string) (FreeResponse, error) {
-	var resp FreeResponse
+	resp := FreeResponse{Results: make([]FreeResult, 0, len(ids))}
 	err := c.do(ctx, "POST", "/v1/machines/"+machineID+"/free",
 		FreeRequest{BatchID: batchID, IDs: ids}, &resp, batchID != "")
 	return resp, err
@@ -160,21 +161,51 @@ func (c *Client) probe(ctx context.Context, path string) bool {
 	return err == nil
 }
 
+// bufPool recycles the buffers requests are encoded into and replies
+// are read into.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // do is the retry loop around one logical call. Only idempotent calls
 // retry, only on retryable failures (transport errors, 503), and the
 // delay is the larger of the backoff schedule and the server's
 // Retry-After hint.
 func (c *Client) do(ctx context.Context, method, path string, body, out any, idempotent bool) error {
 	var payload []byte
+	released := true // the transport is done reading payload
 	if body != nil {
-		var err error
-		if payload, err = json.Marshal(body); err != nil {
+		buf := bufPool.Get().(*bytes.Buffer)
+		buf.Reset()
+		if err := json.NewEncoder(buf).Encode(body); err != nil {
+			bufPool.Put(buf)
 			return err
 		}
+		// Encode ends the payload with a newline json.Marshal does not
+		// write; leave it off so the wire bytes stay the same.
+		payload = buf.Bytes()[:buf.Len()-1]
+		// The buffer goes back to the pool only once the transport is
+		// done reading it: every attempt got a reply and had its request
+		// body closed. After a transport error net/http may still be
+		// reading it (it closes the body on error paths too), so the
+		// buffer is dropped instead.
+		defer func() {
+			if released {
+				bufPool.Put(buf)
+			}
+		}()
 	}
 	maxRetries := c.MaxRetries
 	for attempt := 0; ; attempt++ {
-		err := c.once(ctx, method, path, payload, out)
+		var rb *requestBody
+		if payload != nil {
+			rb = &requestBody{}
+			rb.Reset(payload)
+		}
+		err := c.once(ctx, method, path, rb, out)
+		var ae *APIError
+		replied := err == nil || errors.As(err, &ae)
+		if rb != nil && !(replied && rb.closed.Load()) {
+			released = false
+		}
 		if err == nil {
 			return nil
 		}
@@ -182,8 +213,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any, ide
 			return err
 		}
 		delay := c.Retry.Delay(attempt)
-		var ae *APIError
-		if errors.As(err, &ae) && ae.RetryAfter > delay {
+		if ae != nil && ae.RetryAfter > delay {
 			delay = ae.RetryAfter
 		}
 		c.retries.Add(1)
@@ -209,9 +239,22 @@ func retryable(err error) bool {
 	return true
 }
 
+// requestBody is a request payload that records when the transport
+// closes it, which it does once it has finished reading it.
+type requestBody struct {
+	bytes.Reader
+	closed atomic.Bool
+}
+
+func (b *requestBody) Close() error {
+	b.closed.Store(true)
+	return nil
+}
+
 // once is a single HTTP round trip: bound the context, propagate the
-// deadline budget, classify the reply.
-func (c *Client) once(ctx context.Context, method, path string, payload []byte, out any) error {
+// deadline budget, classify the reply. body is nil for a request
+// without one.
+func (c *Client) once(ctx context.Context, method, path string, body *requestBody, out any) error {
 	if _, has := ctx.Deadline(); !has {
 		timeout := c.Timeout
 		if timeout <= 0 {
@@ -222,14 +265,15 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 		defer cancel()
 	}
 	var rd io.Reader
-	if payload != nil {
-		rd = bytes.NewReader(payload)
+	if body != nil {
+		rd = body
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
 		return err
 	}
-	if payload != nil {
+	if body != nil {
+		req.ContentLength = body.Size()
 		req.Header.Set("Content-Type", "application/json")
 	}
 	if deadline, ok := ctx.Deadline(); ok {
@@ -247,10 +291,13 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
+	reply := bufPool.Get().(*bytes.Buffer)
+	reply.Reset()
+	defer bufPool.Put(reply)
+	if _, err := reply.ReadFrom(resp.Body); err != nil {
 		return err
 	}
+	data := reply.Bytes()
 	if resp.StatusCode/100 != 2 {
 		ae := &APIError{Status: resp.StatusCode}
 		var e ErrorResponse

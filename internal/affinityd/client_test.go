@@ -1,11 +1,16 @@
 package affinityd
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -163,5 +168,74 @@ func TestClientDeadlineBeatsRetry(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("retry loop ran %v past the 60ms deadline", elapsed)
+	}
+}
+
+// TestClientRequestBodiesIntact pins the pooled request and reply
+// buffers: the wire bytes are json.Marshal's, a retry after a dropped
+// connection resends them intact, and concurrent calls never see each
+// other's payloads or replies.
+func TestClientRequestBodiesIntact(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			return
+		}
+		if calls.Add(1)%5 == 1 {
+			// Drop the connection without a reply: a transport error.
+			if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+				conn.Close()
+			}
+			return
+		}
+		var req BatchAllocRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+			return
+		}
+		if want, _ := json.Marshal(req); !bytes.Equal(body, want) {
+			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("body %q, want %q", body, want)})
+			return
+		}
+		resp := BatchAllocResponse{Version: APIVersion}
+		for _, rq := range req.Requests {
+			resp.Placements = append(resp.Placements, Placement{ID: rq.ID, NumElem: rq.NumElem})
+		}
+		writeJSON(w, http.StatusOK, resp)
+	}))
+	defer ts.Close()
+
+	client := fastRetry(NewClient(ts.URL))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				reqs := make([]AllocRequest, 1+(g+i)%7)
+				for k := range reqs {
+					reqs[k] = AllocRequest{ID: fmt.Sprintf("g%d-%d-%d", g, i, k), ElemSize: 4, NumElem: int64(100*g + i)}
+				}
+				resp, err := client.Alloc(bg, "m000001", fmt.Sprintf("b%d-%d", g, i), reqs)
+				if err != nil {
+					t.Errorf("alloc g%d/%d: %v", g, i, err)
+					return
+				}
+				if len(resp.Placements) != len(reqs) {
+					t.Errorf("alloc g%d/%d: %d placements, want %d", g, i, len(resp.Placements), len(reqs))
+					return
+				}
+				for k, pl := range resp.Placements {
+					if pl.ID != reqs[k].ID || pl.NumElem != reqs[k].NumElem {
+						t.Errorf("alloc g%d/%d: placement %d is %s/%d, want %s/%d", g, i, k, pl.ID, pl.NumElem, reqs[k].ID, reqs[k].NumElem)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if client.Retries() == 0 {
+		t.Error("no call was retried; the dropped connections were not exercised")
 	}
 }

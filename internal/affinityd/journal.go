@@ -53,6 +53,11 @@ const journalMagic = "affinityd-journal/v1"
 // journalExt is the journal file suffix under the journal directory.
 const journalExt = ".waj"
 
+// staleSnapExt is the suffix of the snapshot files older daemons kept
+// beside their journals. Recovery ignores them; deregistration and
+// RemoveJournalDir delete them with the journal.
+const staleSnapExt = ".snap"
+
 // Journal record kinds, in the order a machine's life emits them.
 const (
 	recRegister = "register"
@@ -110,6 +115,10 @@ type journal struct {
 	f    *os.File
 	seq  uint64
 	sync bool // fsync after every append (power-loss durability)
+	// buf holds the line being framed; enc encodes into it. Both are
+	// reused by every append.
+	buf bytes.Buffer
+	enc *json.Encoder
 }
 
 // journalPath names a machine's journal under dir.
@@ -156,19 +165,29 @@ func reopenJournal(path string, lastSeq uint64, tornSize int64, sync bool) (*jou
 	return &journal{path: path, f: f, seq: lastSeq, sync: sync}, nil
 }
 
+const hexDigits = "0123456789abcdef"
+
 // append commits one record: assigns the next sequence number,
 // marshals, and writes the framed line in a single syscall. The record
 // is committed once append returns — the caller executes it only after.
 func (j *journal) append(rec *Record) error {
 	rec.Seq = j.seq + 1
-	payload, err := json.Marshal(rec)
-	if err != nil {
+	if j.enc == nil {
+		j.enc = json.NewEncoder(&j.buf)
+	}
+	// Reserve the crc field, encode the payload after it (the encoder
+	// ends it with the line's newline), then fill the crc in place.
+	j.buf.Reset()
+	j.buf.WriteString("00000000 ")
+	if err := j.enc.Encode(rec); err != nil {
 		return fmt.Errorf("affinityd: marshal journal record: %w", err)
 	}
-	line := make([]byte, 0, len(payload)+10)
-	line = fmt.Appendf(line, "%08x ", crc32.ChecksumIEEE(payload))
-	line = append(line, payload...)
-	line = append(line, '\n')
+	line := j.buf.Bytes()
+	crc := crc32.ChecksumIEEE(line[9 : len(line)-1])
+	for i := 7; i >= 0; i-- {
+		line[i] = hexDigits[crc&0xf]
+		crc >>= 4
+	}
 	if _, err := j.f.Write(line); err != nil {
 		return fmt.Errorf("affinityd: append journal record: %w", err)
 	}
@@ -312,9 +331,16 @@ func stateSum(handles map[string]*handle) string {
 	}
 	sort.Strings(ids)
 	h := fnv.New64a()
+	var line []byte
 	for _, id := range ids {
 		hd := handles[id]
-		fmt.Fprintf(h, "%s=%x:%x\n", id, uint64(hd.base), hd.bytes)
+		line = append(line[:0], id...)
+		line = append(line, '=')
+		line = strconv.AppendUint(line, uint64(hd.base), 16)
+		line = append(line, ':')
+		line = strconv.AppendInt(line, hd.bytes, 16)
+		line = append(line, '\n')
+		h.Write(line)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }

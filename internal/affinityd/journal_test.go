@@ -1,11 +1,81 @@
 package affinityd
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"strings"
 	"testing"
+
+	"affinityalloc/internal/memsim"
 )
+
+// TestJournalLineBytes pins each framed line byte for byte to the
+// format's definition — crc32 of json.Marshal's payload as eight hex
+// digits, a space, the payload, a newline — so journals written by
+// older daemons and by this one are interchangeable. The records cover
+// every kind, HTML-escaped characters and a payload long enough to grow
+// the frame buffer after a short one.
+func TestJournalLineBytes(t *testing.T) {
+	dir := t.TempDir()
+	j, err := createJournal(dir, "m000001", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	many := make([]AllocRequest, 200)
+	for i := range many {
+		many[i] = AllocRequest{ID: fmt.Sprintf("a%06d", i), ElemSize: 8, NumElem: int64(i + 1)}
+	}
+	recs := []*Record{
+		{Kind: recRegister, Spec: &MachineSpec{Seed: 7, Policy: "hybrid5"}},
+		{Kind: recPool, Interleave: 4096},
+		{Kind: recAlloc, Batch: "<b&1>", Allocs: many},
+		{Kind: recFree, Batch: "b2", Frees: []string{"a000001", "a000002"}},
+		{Kind: recSnapshot, Snapshot: &Snapshot{Allocs: 200, LiveHandles: 198, StateSum: "ed70aeea40dfa890"}},
+	}
+	want := journalMagic + " m000001\n"
+	for _, r := range recs {
+		if err := j.append(r); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(payload), payload)
+	}
+	if err := j.close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(journalPath(dir, "m000001"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Errorf("journal bytes differ from the framing definition:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestStateSumPinned: snapshot records carry stateSum's digest, and a
+// journal an older daemon wrote must still verify, so the digest of a
+// fixed handle set is pinned to the value that daemon computed.
+func TestStateSumPinned(t *testing.T) {
+	handles := map[string]*handle{
+		"a000001": {base: 0x100000000, bytes: 4096},
+		"a000002": {base: memsim.PoolBase + 0x40, bytes: 64},
+		"a000010": {base: 0xfedcba987654, bytes: 1 << 30},
+		"b":       {base: 0, bytes: 0},
+		"a0000ff": {base: 0x1234, bytes: 12345},
+	}
+	if got, want := stateSum(handles), "ed70aeea40dfa890"; got != want {
+		t.Errorf("stateSum = %s, want %s", got, want)
+	}
+	if got, want := stateSum(map[string]*handle{}), "cbf29ce484222325"; got != want {
+		t.Errorf("stateSum of no handles = %s, want %s", got, want)
+	}
+}
 
 // TestJournalRoundTrip pins the framing: records appended through the
 // write side read back identically through the read side, in order,

@@ -24,7 +24,8 @@ package affinityd
 //     to serving as its own replay completes.
 //
 // Only <id>.waj files are read; a <id>.snap file an older daemon left
-// beside a journal is ignored.
+// beside a journal is ignored (and removed when the machine is
+// deregistered or the directory reset).
 
 import (
 	"fmt"
@@ -202,17 +203,19 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	return r.Replay()
 }
 
-// RemoveJournalDir deletes every journal under dir, leaving other
-// files alone. Operators use it (via -journal-reset) to deliberately
-// discard placement history.
+// RemoveJournalDir deletes every journal under dir, and every snapshot
+// file an older daemon left there, leaving other files alone. Operators
+// use it (via -journal-reset) to deliberately discard placement history.
 func RemoveJournalDir(dir string) error {
-	paths, err := filepath.Glob(filepath.Join(dir, "*"+journalExt))
-	if err != nil {
-		return err
-	}
-	for _, p := range paths {
-		if err := os.Remove(p); err != nil {
+	for _, ext := range []string{journalExt, staleSnapExt} {
+		paths, err := filepath.Glob(filepath.Join(dir, "*"+ext))
+		if err != nil {
 			return err
+		}
+		for _, p := range paths {
+			if err := os.Remove(p); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -471,7 +472,8 @@ func TestSnapshotMismatchFailsReplay(t *testing.T) {
 // TestRecoveryIgnoresStaleSnapFile pins the upgrade path from daemons
 // that kept snapshots in a second file: a journal with no snapshot
 // records, and an old <id>.snap beside it that no longer matches it,
-// recovers to the same GET /v1/machines/{id} bytes it served before.
+// recovers to the same GET /v1/machines/{id} bytes it served before;
+// deregistration and RemoveJournalDir then delete such files.
 func TestRecoveryIgnoresStaleSnapFile(t *testing.T) {
 	dir := t.TempDir()
 	id, before := journalPastSnapshot(t, dir)
@@ -521,6 +523,40 @@ func TestRecoveryIgnoresStaleSnapFile(t *testing.T) {
 	}
 	if after := getMachine(t, srv2, id); !bytes.Equal(after, before) {
 		t.Errorf("GET machine after recovery:\n %s\nwant\n %s", after, before)
+	}
+
+	// Deregistering the machine deletes its journal and the stale
+	// snapshot file beside it.
+	if !srv2.deregister(id) {
+		t.Fatalf("deregister %s: machine not found", id)
+	}
+	for _, ext := range []string{journalExt, staleSnapExt} {
+		if _, err := os.Stat(filepath.Join(dir, id+ext)); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s%s survived deregistration (stat: %v)", id, ext, err)
+		}
+	}
+
+	// Resetting the directory deletes journals and stale snapshot files
+	// alike, and nothing else.
+	other := filepath.Join(dir, "notes.txt")
+	for _, name := range []string{"m000009" + journalExt, "m000009" + staleSnapExt, "m000010" + staleSnapExt, "notes.txt"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(stale+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := RemoveJournalDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	entries, err = os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || filepath.Join(dir, entries[0].Name()) != other {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Errorf("after RemoveJournalDir the directory holds %v, want only notes.txt", names)
 	}
 }
 

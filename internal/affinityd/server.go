@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
@@ -264,8 +265,9 @@ func (s *Server) install(m *machine) error {
 }
 
 // deregister removes and stops a machine; reports whether it existed.
-// A journaled machine's journal is removed with it — deregistration is
-// the tenant saying this placement history is over.
+// A journaled machine's journal is removed with it, and any snapshot
+// file an older daemon left beside it — deregistration is the tenant
+// saying this placement history is over.
 func (s *Server) deregister(id string) bool {
 	s.regMu.Lock()
 	old := *s.machines.Load()
@@ -282,8 +284,9 @@ func (s *Server) deregister(id string) bool {
 	s.regMu.Unlock()
 	if ok {
 		m.stop()
-		if s.opts.JournalDir != "" {
-			os.Remove(journalPath(s.opts.JournalDir, id))
+		if dir := s.opts.JournalDir; dir != "" {
+			os.Remove(journalPath(dir, id))
+			os.Remove(filepath.Join(dir, id+staleSnapExt))
 		}
 	}
 	return ok

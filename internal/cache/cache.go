@@ -23,7 +23,21 @@ const (
 	BRRIP
 )
 
-const invalidTag = ^uint64(0)
+// A way is one uint64 entry: the line number above bit 8, then a dirty
+// bit, then a 7-bit replacement field holding the LRU stack position or
+// the RRPV. One word per way keeps a set's whole state in one or two host
+// cache lines, and the 7-bit field bounds associativity at maxWays.
+const (
+	tagShift = 8
+	dirtyBit = 1 << 7
+	metaMask = dirtyBit - 1
+	maxWays  = metaMask
+)
+
+// invalidTag marks an empty way: the all-ones line field. Line numbers
+// must therefore be below 2^56-1, which memsim's 48-bit address space
+// (lines below 2^42) guarantees.
+const invalidTag = 1<<(64-tagShift) - 1
 
 // maxRRPV is the saturating re-reference prediction value for 2-bit RRIP.
 const maxRRPV = 3
@@ -35,16 +49,14 @@ const brripPeriod = 32
 
 // SetAssoc is a set-associative tag array. It stores no data — the
 // simulated memory holds all values — only presence, dirtiness, and
-// replacement state.
+// replacement state, packed into one entry per way.
 type SetAssoc struct {
 	sets, ways int
 	repl       Replacement
-	// store owns tags, dirty and meta until Release hands it back.
-	store *tagStore
-	tags  []uint64 // sets*ways, line numbers
-	dirty []bool
-	meta  []uint8 // LRU stack position or RRPV
-	fills uint64  // drives the bimodal insertion counter
+	// store owns the entries until Release hands it back.
+	store *[]uint64
+	e     []uint64 // sets*ways entries, set-major
+	fills uint64   // drives the bimodal insertion counter
 
 	Accesses uint64
 	Hits     uint64
@@ -52,52 +64,31 @@ type SetAssoc struct {
 }
 
 // NewSetAssoc builds a tag array with the given geometry. SizeBytes must
-// be divisible by ways*LineSize and the resulting set count must be a
-// power of two.
+// be divisible by ways*LineSize, ways must fit the 7-bit replacement
+// field, and the resulting set count must be a power of two.
 func NewSetAssoc(sizeBytes, ways int, repl Replacement) (*SetAssoc, error) {
-	if ways <= 0 || sizeBytes <= 0 || sizeBytes%(ways*memsim.LineSize) != 0 {
+	if ways <= 0 || ways > maxWays || sizeBytes <= 0 || sizeBytes%(ways*memsim.LineSize) != 0 {
 		return nil, fmt.Errorf("cache: bad geometry size=%d ways=%d", sizeBytes, ways)
 	}
 	sets := sizeBytes / (ways * memsim.LineSize)
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d not a power of two", sets)
 	}
-	st := tagPool(sets * ways).Get().(*tagStore)
-	c := &SetAssoc{
-		sets: sets, ways: ways, repl: repl,
-		store: st,
-		tags:  st.tags,
-		dirty: st.dirty,
-		meta:  st.meta,
-	}
+	st := tagPool(sets * ways).Get().(*[]uint64)
+	c := &SetAssoc{sets: sets, ways: ways, repl: repl, store: st, e: *st}
 	// Storage may come back from a released array, so every entry is set
-	// here, recycled or not.
-	for i := range c.tags {
-		c.tags[i] = invalidTag
-	}
-	clear(c.dirty)
-	if repl == LRU {
-		// Give each way a distinct initial LRU stack position.
-		for s := 0; s < sets; s++ {
-			for w := 0; w < ways; w++ {
-				c.meta[s*ways+w] = uint8(w)
-			}
+	// here, recycled or not. LRU gives each way a distinct initial stack
+	// position; BRRIP starts every RRPV at 0.
+	for i := range c.e {
+		c.e[i] = invalidTag << tagShift
+		if repl == LRU {
+			c.e[i] |= uint64(i % ways)
 		}
-	} else {
-		clear(c.meta)
 	}
 	return c, nil
 }
 
-// tagStore is one array's tag, dirty and replacement storage, recycled
-// whole through a per-length pool.
-type tagStore struct {
-	tags  []uint64
-	dirty []bool
-	meta  []uint8
-}
-
-// tagPools holds one *sync.Pool of *tagStore per sets·ways.
+// tagPools holds one *sync.Pool of *[]uint64 per sets·ways.
 var tagPools sync.Map
 
 func tagPool(n int) *sync.Pool {
@@ -105,7 +96,8 @@ func tagPool(n int) *sync.Pool {
 		return p.(*sync.Pool)
 	}
 	p, _ := tagPools.LoadOrStore(n, &sync.Pool{New: func() any {
-		return &tagStore{tags: make([]uint64, n), dirty: make([]bool, n), meta: make([]uint8, n)}
+		e := make([]uint64, n)
+		return &e
 	}})
 	return p.(*sync.Pool)
 }
@@ -117,8 +109,8 @@ func (c *SetAssoc) Release() {
 	if c.store == nil {
 		return
 	}
-	tagPool(len(c.tags)).Put(c.store)
-	c.store, c.tags, c.dirty, c.meta = nil, nil, nil, nil
+	tagPool(len(c.e)).Put(c.store)
+	c.store, c.e = nil, nil
 }
 
 // MustSetAssoc is NewSetAssoc that panics on error.
@@ -136,14 +128,25 @@ func (c *SetAssoc) Sets() int { return c.sets }
 // Ways returns the associativity.
 func (c *SetAssoc) Ways() int { return c.ways }
 
-// setOf hashes the line number into a set index. The XOR fold mixes the
-// bits above the bank-interleave field into the index; without it, the
-// lines homed at one bank (which share their low line bits modulo the
-// interleave) would alias into a handful of sets. Real LLCs use similar
-// index hashes for the same reason.
-func (c *SetAssoc) setOf(line uint64) int {
+// set returns the entries of the set a line maps to. The index hash XOR
+// folds the bits above the bank-interleave field into the index; without
+// it, the lines homed at one bank (which share their low line bits
+// modulo the interleave) would alias into a handful of sets. Real LLCs
+// use similar index hashes for the same reason.
+func (c *SetAssoc) set(line uint64) []uint64 {
 	h := line ^ line>>10 ^ line>>20 ^ line>>32
-	return int(h) & (c.sets - 1)
+	base := (int(h) & (c.sets - 1)) * c.ways
+	return c.e[base : base+c.ways]
+}
+
+// find returns the way holding line in set, or -1.
+func find(set []uint64, line uint64) int {
+	for w, e := range set {
+		if e>>tagShift == line {
+			return w
+		}
+	}
+	return -1
 }
 
 // Access looks up a line (identified by line number, i.e. addr/64) and
@@ -151,27 +154,21 @@ func (c *SetAssoc) setOf(line uint64) int {
 // victim was evicted, the victim's line number.
 func (c *SetAssoc) Access(line uint64, write bool) (hit bool, victim uint64, dirtyVictim bool) {
 	c.Accesses++
-	set := c.setOf(line)
-	base := set * c.ways
-
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == line {
-			c.Hits++
-			c.touch(base, w)
-			if write {
-				c.dirty[base+w] = true
-			}
-			return true, 0, false
+	set := c.set(line)
+	if w := find(set, line); w >= 0 {
+		c.Hits++
+		c.touch(set, w)
+		if write {
+			set[w] |= dirtyBit
 		}
+		return true, 0, false
 	}
 	c.Misses++
-	w := c.victim(base)
-	if c.tags[base+w] != invalidTag && c.dirty[base+w] {
-		victim, dirtyVictim = c.tags[base+w], true
+	w := c.victim(set)
+	if e := set[w]; e&dirtyBit != 0 { // an empty way is never dirty
+		victim, dirtyVictim = e>>tagShift, true
 	}
-	c.tags[base+w] = line
-	c.dirty[base+w] = write
-	c.insert(base, w)
+	c.fill(set, w, line, write)
 	return false, victim, dirtyVictim
 }
 
@@ -180,91 +177,84 @@ func (c *SetAssoc) Access(line uint64, write bool) (hit bool, victim uint64, dir
 // A dirty victim's state is dropped; simulated memory always holds the
 // authoritative values.
 func (c *SetAssoc) Install(line uint64) {
-	base := c.setOf(line) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == line {
-			return
-		}
+	set := c.set(line)
+	if find(set, line) >= 0 {
+		return
 	}
-	w := c.victim(base)
-	c.tags[base+w] = line
-	c.dirty[base+w] = false
-	c.insert(base, w)
+	c.fill(set, c.victim(set), line, false)
 }
 
 // Probe reports whether a line is present without updating any state.
 func (c *SetAssoc) Probe(line uint64) bool {
-	base := c.setOf(line) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == line {
-			return true
-		}
+	return find(c.set(line), line) >= 0
+}
+
+// fill replaces way w with line and sets its insertion replacement state.
+func (c *SetAssoc) fill(set []uint64, w int, line uint64, write bool) {
+	e := line<<tagShift | set[w]&metaMask
+	if write {
+		e |= dirtyBit
 	}
-	return false
+	set[w] = e
+	switch c.repl {
+	case LRU:
+		promote(set, w)
+	case BRRIP:
+		c.fills++
+		rrpv := uint64(maxRRPV)
+		if c.fills%brripPeriod == 0 {
+			rrpv = maxRRPV - 1
+		}
+		set[w] = set[w]&^metaMask | rrpv
+	}
 }
 
 // touch updates replacement state on a hit.
-func (c *SetAssoc) touch(base, way int) {
+func (c *SetAssoc) touch(set []uint64, w int) {
 	switch c.repl {
 	case LRU:
-		old := c.meta[base+way]
-		for w := 0; w < c.ways; w++ {
-			if c.meta[base+w] < old {
-				c.meta[base+w]++
-			}
-		}
-		c.meta[base+way] = 0
+		promote(set, w)
 	case BRRIP:
-		c.meta[base+way] = 0
+		set[w] &^= metaMask
 	}
 }
 
-// insert sets replacement state for a newly filled way.
-func (c *SetAssoc) insert(base, way int) {
-	switch c.repl {
-	case LRU:
-		old := c.meta[base+way]
-		for w := 0; w < c.ways; w++ {
-			if c.meta[base+w] < old {
-				c.meta[base+w]++
-			}
-		}
-		c.meta[base+way] = 0
-	case BRRIP:
-		c.fills++
-		if c.fills%brripPeriod == 0 {
-			c.meta[base+way] = maxRRPV - 1
-		} else {
-			c.meta[base+way] = maxRRPV
+// promote makes way w most recently used: every way more recent than it
+// ages by one stack position, and w takes position 0.
+func promote(set []uint64, w int) {
+	old := set[w] & metaMask
+	for i, e := range set {
+		if e&metaMask < old {
+			set[i] = e + 1
 		}
 	}
+	set[w] &^= metaMask
 }
 
-// victim picks the way to replace in the set at base.
-func (c *SetAssoc) victim(base int) int {
+// victim picks the way to replace in set.
+func (c *SetAssoc) victim(set []uint64) int {
 	// Prefer an invalid way.
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == invalidTag {
-			return w
-		}
+	if w := find(set, invalidTag); w >= 0 {
+		return w
 	}
 	switch c.repl {
 	case LRU:
-		for w := 0; w < c.ways; w++ {
-			if c.meta[base+w] == uint8(c.ways-1) {
+		last := uint64(c.ways - 1)
+		for w, e := range set {
+			if e&metaMask == last {
 				return w
 			}
 		}
 		return 0
 	case BRRIP:
 		for {
-			for w := 0; w < c.ways; w++ {
-				if c.meta[base+w] >= maxRRPV {
+			for w, e := range set {
+				if e&metaMask >= maxRRPV {
 					return w
 				}
 			}
-			for w := 0; w < c.ways; w++ {
-				c.meta[base+w]++
+			for w := range set {
+				set[w]++
 			}
 		}
 	}

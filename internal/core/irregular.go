@@ -122,8 +122,9 @@ func (r *Runtime) selectBank(affinity []memsim.Addr) int {
 	}
 
 	// MinHop and Hybrid score every bank with Eq. 4. Collapse affinity
-	// addresses to distinct banks with multiplicities first.
-	var affBanks, affCounts []int
+	// addresses to distinct banks with multiplicities first, into
+	// scratch the runtime keeps between calls.
+	affBanks, affCounts := r.affBanks[:0], r.affCounts[:0]
 	for _, a := range affinity {
 		b := r.space.MustBank(a)
 		found := false
@@ -139,6 +140,7 @@ func (r *Runtime) selectBank(affinity []memsim.Addr) int {
 			affCounts = append(affCounts, 1)
 		}
 	}
+	r.affBanks, r.affCounts = affBanks, affCounts
 	h := 0.0
 	if r.pcfg.Policy == Hybrid {
 		h = r.pcfg.H

@@ -156,6 +156,9 @@ type Runtime struct {
 	// load tracks irregular allocations per bank (Eq. 4's load term).
 	load      []int
 	totalLoad int
+	// affBanks and affCounts are selectBank's scratch: the distinct
+	// banks of one call's affinity addresses and their multiplicities.
+	affBanks, affCounts []int
 
 	// Baseline (affinity-oblivious) allocator state.
 	heapCur, heapEnd memsim.Addr

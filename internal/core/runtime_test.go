@@ -450,3 +450,25 @@ func TestIrregularChunkPhaseProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSelectBankAllocatesNothing: MinHop and Hybrid score banks over
+// scratch the runtime keeps, so choosing a bank allocates nothing for
+// any affinity-list length up to the cap, repeated banks included.
+func TestSelectBankAllocatesNothing(t *testing.T) {
+	for _, pcfg := range []PolicyConfig{{Policy: MinHop}, {Policy: Hybrid, H: 5}} {
+		r := newRuntime(t, pcfg)
+		aff := make([]memsim.Addr, MaxAffinityAddrs)
+		for i := range aff {
+			a, err := r.AllocAtBank(64, i*5%17)
+			if err != nil {
+				t.Fatal(err)
+			}
+			aff[i] = a
+		}
+		for n := 1; n <= MaxAffinityAddrs; n++ {
+			if allocs := testing.AllocsPerRun(20, func() { r.selectBank(aff[:n]) }); allocs != 0 {
+				t.Errorf("policy %v: selectBank over %d addresses allocated %.0f times", pcfg.Policy, n, allocs)
+			}
+		}
+	}
+}

@@ -50,35 +50,42 @@ func (p pass) groupElems() int64 {
 	return g
 }
 
-// coreGroups builds core c's group list — the [g0, g1) element ranges it
-// processes, in processing order. The order is the core's contiguous
-// range rotated so different cores start at different offsets: offloaded
-// streams (and prefetching cores) naturally slip out of lockstep and
-// spread over the banks instead of camping on the same bank wavefront;
-// the deterministic round-robin driver needs the stagger made explicit.
-func (p pass) coreGroups(c, nC int) [][2]int64 {
+// groupSeq is one core's group schedule: the [g0, g1) element ranges it
+// processes, in processing order, computed on demand rather than stored.
+// The core's contiguous range [lo, hi) is cut at multiples of group
+// (so the first and last groups may be partial) into n groups, and the
+// order is that list rotated left by rot.
+type groupSeq struct {
+	lo, hi, group int64
+	n, rot        int
+}
+
+// coreGroups returns core c's group schedule. The order is the core's
+// contiguous range rotated so different cores start at different offsets:
+// offloaded streams (and prefetching cores) naturally slip out of
+// lockstep and spread over the banks instead of camping on the same bank
+// wavefront; the deterministic round-robin interleaving needs the stagger
+// made explicit.
+func (p pass) coreGroups(c, nC int) groupSeq {
 	lo, hi := partition(p.n, nC, c)
 	if lo >= hi {
-		return nil
+		return groupSeq{}
 	}
 	group := p.groupElems()
-	var groups [][2]int64
-	for g0 := lo; g0 < hi; {
-		g1 := g0 + group - (g0 % group)
-		if g1 > hi {
-			g1 = hi
-		}
-		groups = append(groups, [2]int64{g0, g1})
-		g0 = g1
+	first := lo - lo%group
+	n := int((hi - first + group - 1) / group)
+	return groupSeq{lo: lo, hi: hi, group: group, n: n, rot: n * c / nC}
+}
+
+// at returns the i-th group in processing order, 0 <= i < n.
+func (s groupSeq) at(i int) (g0, g1 int64) {
+	k := i + s.rot
+	if k >= s.n {
+		k -= s.n
 	}
-	rot := len(groups) * c / nC
-	if rot == 0 {
-		return groups
-	}
-	rotated := make([][2]int64, 0, len(groups))
-	rotated = append(rotated, groups[rot:]...)
-	rotated = append(rotated, groups[:rot]...)
-	return rotated
+	g0 = s.lo - s.lo%s.group + int64(k)*s.group
+	g1 = g0 + s.group
+	return max(g0, s.lo), min(g1, s.hi)
 }
 
 // chunkGroups is how many output lines a core advances per interleaved
@@ -97,7 +104,7 @@ func (p pass) runNSC(s *sys.System, start engine.Time) engine.Time {
 	nC := s.NumCores()
 
 	type coreState struct {
-		groups [][2]int64
+		groups groupSeq
 		next   int
 		in     []*stream.AffineStream
 		out    *stream.AffineStream
@@ -107,14 +114,15 @@ func (p pass) runNSC(s *sys.System, start engine.Time) engine.Time {
 	for c := 0; c < nC; c++ {
 		groups := p.coreGroups(c, nC)
 		st := &coreState{groups: groups, window: stream.NewOpWindow(passWindow)}
-		if len(groups) > 0 {
+		if groups.n > 0 {
+			first, _ := groups.at(0)
 			for _, op := range p.ops {
-				base := op.arr.ElemAddr(clampIdx(groups[0][0]+op.off, op.arr.NumElem))
+				base := op.arr.ElemAddr(clampIdx(first+op.off, op.arr.NumElem))
 				as := stream.NewAffineStream(eng, c, base, op.arr.ElemStride, 1, p.n, false)
 				as.Start(start)
 				st.in = append(st.in, as)
 			}
-			st.out = stream.NewAffineStream(eng, c, p.out.ElemAddr(groups[0][0]), p.out.ElemStride, 1, p.n, true)
+			st.out = stream.NewAffineStream(eng, c, p.out.ElemAddr(first), p.out.ElemStride, 1, p.n, true)
 			st.out.Start(start)
 		}
 		states[c] = st
@@ -123,11 +131,11 @@ func (p pass) runNSC(s *sys.System, start engine.Time) engine.Time {
 	finish := start
 	interleaved(nC, func(c int) bool {
 		st := states[c]
-		if st.next >= len(st.groups) {
+		if st.next >= st.groups.n {
 			return false
 		}
-		for g := 0; g < chunkGroups && st.next < len(st.groups); g++ {
-			g0, g1 := st.groups[st.next][0], st.groups[st.next][1]
+		for g := 0; g < chunkGroups && st.next < st.groups.n; g++ {
+			g0, g1 := st.groups.at(st.next)
 			st.next++
 			elems := int(g1 - g0)
 			outBank := mem.BankOf(p.out.ElemAddr(g0))
@@ -168,7 +176,7 @@ func (p pass) runNSC(s *sys.System, start engine.Time) engine.Time {
 		if f := st.out.Finish(); f > finish {
 			finish = f
 		}
-		return st.next < len(st.groups)
+		return st.next < st.groups.n
 	})
 	for _, st := range states {
 		if st.out == nil {
@@ -192,7 +200,7 @@ func (p pass) runInCore(s *sys.System, start engine.Time) engine.Time {
 	nC := s.NumCores()
 
 	type coreState struct {
-		groups   [][2]int64
+		groups   groupSeq
 		next     int
 		curLines []memsim.Addr // last-touched line per operand
 	}
@@ -208,12 +216,12 @@ func (p pass) runInCore(s *sys.System, start engine.Time) engine.Time {
 
 	interleaved(nC, func(c int) bool {
 		st := states[c]
-		if st.next >= len(st.groups) {
+		if st.next >= st.groups.n {
 			return false
 		}
 		cc := s.Cores[c]
-		for g := 0; g < chunkGroups && st.next < len(st.groups); g++ {
-			g0, g1 := st.groups[st.next][0], st.groups[st.next][1]
+		for g := 0; g < chunkGroups && st.next < st.groups.n; g++ {
+			g0, g1 := st.groups.at(st.next)
 			st.next++
 			elems := int(g1 - g0)
 			for k, op := range p.ops {
@@ -229,7 +237,7 @@ func (p pass) runInCore(s *sys.System, start engine.Time) engine.Time {
 			cc.ComputeSIMD(elems * p.weight)
 			cc.Store(p.out.ElemAddr(g0), cpu.Streaming)
 		}
-		return st.next < len(st.groups)
+		return st.next < st.groups.n
 	})
 	return coreFinish(s.Cores)
 }

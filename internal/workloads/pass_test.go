@@ -96,8 +96,10 @@ func TestCoreGroupsRotationCoversRange(t *testing.T) {
 	p := pass{ops: []operand{{arr: a}}, out: b, n: 1 << 12, weight: 1}
 	covered := make([]bool, 1<<12)
 	for c := 0; c < 64; c++ {
-		for _, g := range p.coreGroups(c, 64) {
-			for i := g[0]; i < g[1]; i++ {
+		gs := p.coreGroups(c, 64)
+		for k := 0; k < gs.n; k++ {
+			g0, g1 := gs.at(k)
+			for i := g0; i < g1; i++ {
 				if covered[i] {
 					t.Fatalf("element %d covered twice", i)
 				}
@@ -108,6 +110,66 @@ func TestCoreGroupsRotationCoversRange(t *testing.T) {
 	for i, ok := range covered {
 		if !ok {
 			t.Fatalf("element %d never covered", i)
+		}
+	}
+}
+
+// refCoreGroups is the group list as it was materialised before
+// coreGroups became a computed schedule: the core's range cut at
+// multiples of the group size, then rotated.
+func refCoreGroups(p pass, c, nC int) [][2]int64 {
+	lo, hi := partition(p.n, nC, c)
+	if lo >= hi {
+		return nil
+	}
+	group := p.groupElems()
+	var groups [][2]int64
+	for g0 := lo; g0 < hi; {
+		g1 := g0 + group - (g0 % group)
+		if g1 > hi {
+			g1 = hi
+		}
+		groups = append(groups, [2]int64{g0, g1})
+		g0 = g1
+	}
+	rot := len(groups) * c / nC
+	return append(groups[rot:], groups[:rot]...)
+}
+
+// TestCoreGroupsMatchesMaterialisedList: the computed schedule yields
+// the materialised list, group for group, for every core — including
+// fewer elements than cores (empty cores), ranges that start and end
+// mid-group, one-element groups and a single core.
+func TestCoreGroupsMatchesMaterialisedList(t *testing.T) {
+	cases := []struct {
+		n      int64
+		nC     int
+		stride int // output element stride: the group is 64/stride elements
+	}{
+		{n: 5, nC: 64, stride: 4},
+		{n: 63, nC: 64, stride: 8},
+		{n: 100, nC: 3, stride: 4},
+		{n: 1000, nC: 7, stride: 8},
+		{n: 1 << 12, nC: 64, stride: 4},
+		{n: 12345, nC: 64, stride: 16},
+		{n: 777, nC: 5, stride: 64},
+		{n: 4099, nC: 1, stride: 4},
+		{n: 3, nC: 2, stride: 128},
+	}
+	for _, tc := range cases {
+		p := pass{out: &core.ArrayInfo{ElemSize: 4, ElemStride: tc.stride, NumElem: tc.n}, n: tc.n}
+		for c := 0; c < tc.nC; c++ {
+			want := refCoreGroups(p, c, tc.nC)
+			gs := p.coreGroups(c, tc.nC)
+			if gs.n != len(want) {
+				t.Fatalf("n=%d nC=%d stride=%d core %d: %d groups, want %d", tc.n, tc.nC, tc.stride, c, gs.n, len(want))
+			}
+			for i, w := range want {
+				if g0, g1 := gs.at(i); g0 != w[0] || g1 != w[1] {
+					t.Fatalf("n=%d nC=%d stride=%d core %d group %d: [%d, %d), want [%d, %d)",
+						tc.n, tc.nC, tc.stride, c, i, g0, g1, w[0], w[1])
+				}
+			}
 		}
 	}
 }
