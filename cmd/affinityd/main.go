@@ -24,8 +24,13 @@
 // -journal-reset to discard history deliberately); replay happens after,
 // so /healthz answers immediately while /readyz reports not-ready until
 // every machine has finished replaying. Each machine has one file in
-// DIR, <id>.waj; every 256 operation records it carries a snapshot
-// record that replay checks the rebuilt state against. A <id>.snap file
+// DIR, <id>.waj: an "affinityd-journal/v2 <id>" header line, then one
+// binary frame per record whose length carries its own check, so a
+// torn final frame is truncated and anything malformed before it
+// refuses startup. Every 256 operation records the journal carries a
+// snapshot record that replay checks the rebuilt state against. A
+// journal in the older line-framed JSON format (affinityd-journal/v1)
+// refuses startup by name; -journal-reset discards it. A <id>.snap file
 // an older daemon left in DIR is ignored by recovery and deleted with
 // the journal, on deregistration or -journal-reset.
 //

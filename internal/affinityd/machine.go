@@ -316,11 +316,8 @@ func (m *machine) snapshot() Snapshot {
 }
 
 // checkSnapshot compares a snapshot record with the replayed state.
-func (m *machine) checkSnapshot(want *Snapshot) error {
-	if want == nil {
-		return errors.New("snapshot record carries no snapshot")
-	}
-	if got := m.snapshot(); got != *want {
+func (m *machine) checkSnapshot(want Snapshot) error {
+	if got := m.snapshot(); got != want {
 		return fmt.Errorf("replayed state (allocs %d, live handles %d, state sum %s) differs from the snapshot record (allocs %d, live handles %d, state sum %s)",
 			got.Allocs, got.LiveHandles, got.StateSum, want.Allocs, want.LiveHandles, want.StateSum)
 	}
@@ -335,8 +332,7 @@ func (m *machine) maybeSnapshot() {
 	if m.journal == nil || m.journal.seq%(snapshotEvery+1) != 0 {
 		return
 	}
-	snap := m.snapshot()
-	if m.journal.append(&Record{Kind: recSnapshot, Snapshot: &snap}) == nil {
+	if m.journal.append(&Record{Kind: recSnapshot, Snapshot: m.snapshot()}) == nil {
 		m.journalSeq.Store(m.journal.seq)
 		m.snapshots.Add(1)
 	}

@@ -5,7 +5,7 @@ package affinityd
 //
 //  1. PrepareRecovery — synchronous, before the listener opens. Every
 //     journal in Options.JournalDir is read and verified end to end
-//     (header, CRC per record, consecutive sequence numbers).
+//     (header, both checks of every frame, consecutive sequence numbers).
 //     Corruption fails startup here with a typed
 //     *JournalError: the daemon refuses to come up and serve a machine
 //     whose history is wrong. Machines that verify are rebuilt from
@@ -99,7 +99,7 @@ func (s *Server) PrepareRecovery() (*Recovery, error) {
 		// (fleet defaults already merged at original registration), so
 		// it is rebuilt verbatim — today's -seed/-policy flags don't
 		// rewrite history.
-		spec := *lg.records[0].Spec
+		spec := lg.records[0].Spec
 		cfg, err := buildConfig(spec)
 		if err != nil {
 			return nil, &JournalError{Path: path, Line: 2,

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
 	"net/http"
@@ -352,11 +351,10 @@ func TestMalformedJournalRefusesStartup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.SplitAfter(string(data), "\n")
-	mid := []byte(lines[2])
-	mid[len(mid)/2] ^= 0x01
-	lines[2] = string(mid)
-	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
+	// Flip one byte in the middle of the second record's frame.
+	span := frameSpans(t, data)[2]
+	data[(span[0]+span[1])/2] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -372,23 +370,20 @@ func TestMalformedJournalRefusesStartup(t *testing.T) {
 }
 
 // rewriteJournal replaces a journal's records with edit's result,
-// framing each line as the journal writer does.
+// framing each record as the journal writer does.
 func rewriteJournal(t *testing.T, path string, edit func([]Record) []Record) {
 	t.Helper()
 	lg, err := readJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	buf.WriteString(journalMagic + " " + lg.machineID + "\n")
+	buf := []byte(journalHeader(lg.machineID))
 	for _, rec := range edit(lg.records) {
-		payload, err := json.Marshal(&rec)
-		if err != nil {
+		if buf, err = appendFrame(buf, &rec); err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&buf, "%08x %s\n", crc32.ChecksumIEEE(payload), payload)
 	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -421,8 +416,8 @@ func journalPastSnapshot(t *testing.T, dir string) (string, []byte) {
 }
 
 // TestSnapshotMismatchFailsReplay pins the checkpoint cross-check: a
-// snapshot record that disagrees with replayed history, or carries no
-// snapshot at all, fails Replay loudly with a *JournalError naming that
+// snapshot record that disagrees with replayed history, or carries an
+// empty snapshot, fails Replay loudly with a *JournalError naming that
 // record's line, instead of serving a machine whose past is ambiguous.
 func TestSnapshotMismatchFailsReplay(t *testing.T) {
 	for _, tc := range []struct {
@@ -432,7 +427,7 @@ func TestSnapshotMismatchFailsReplay(t *testing.T) {
 	}{
 		{"state_sum", func(r *Record) { r.Snapshot.StateSum = "ffffffffffffffff" }, "state sum ffffffffffffffff"},
 		{"live_handles", func(r *Record) { r.Snapshot.LiveHandles++ }, "differs from the snapshot record"},
-		{"no_payload", func(r *Record) { r.Snapshot = nil }, "carries no snapshot"},
+		{"no_payload", func(r *Record) { r.Snapshot = Snapshot{} }, "snapshot record (allocs 0, live handles 0, state sum )"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -222,7 +222,7 @@ func (s *Server) Register(spec MachineSpec) (RegisterResponse, error) {
 		if j, err = createJournal(s.opts.JournalDir, id, s.opts.SyncWrites); err != nil {
 			return RegisterResponse{}, err
 		}
-		if err := j.append(&Record{Kind: recRegister, Spec: &spec}); err != nil {
+		if err := j.append(&Record{Kind: recRegister, Spec: spec}); err != nil {
 			j.close()
 			return RegisterResponse{}, err
 		}

@@ -113,23 +113,47 @@ func TestBRRIPWorkingSetRetention(t *testing.T) {
 	}
 }
 
+// TestCacheNeverExceedsCapacity: after every access of a seeded stream
+// of lines inside the tag bound, the line just accessed is resident, no
+// set holds more lines than it has ways, and the cache holds no more
+// than sets×ways lines, under both replacement policies.
 func TestCacheNeverExceedsCapacity(t *testing.T) {
-	prop := func(seed int64) bool {
-		c := MustSetAssoc(4096, 4, BRRIP) // 64 lines capacity
-		lines := 0
-		for i := uint64(0); i < 500; i++ {
-			c.Access((i*2654435761 + uint64(seed)), false)
-		}
-		for l := uint64(0); l < 1<<20; l++ {
-			if c.Probe(l * 2654435761) {
-				lines++
+	for _, repl := range []Replacement{LRU, BRRIP} {
+		prop := func(seed int64) bool {
+			c := MustSetAssoc(4096, 4, repl) // 16 sets × 4 ways
+			var seen []uint64
+			for i := uint64(0); i < 500; i++ {
+				line := (i*2654435761 + uint64(seed)) % invalidTag
+				c.Access(line, i%3 == 0)
+				seen = append(seen, line)
+				if !c.Probe(line) {
+					t.Logf("%v seed %d: line %#x not resident after its access", repl, seed, line)
+					return false
+				}
+				perSet := map[*uint64]int{}
+				resident := 0
+				for _, l := range seen {
+					if c.Probe(l) {
+						resident++
+						perSet[&c.set(l)[0]]++
+					}
+				}
+				if resident > c.Sets()*c.Ways() {
+					t.Logf("%v seed %d: %d lines resident after %d accesses, capacity %d", repl, seed, resident, i+1, c.Sets()*c.Ways())
+					return false
+				}
+				for _, n := range perSet {
+					if n > c.Ways() {
+						t.Logf("%v seed %d: a set holds %d lines, %d ways", repl, seed, n, c.Ways())
+						return false
+					}
+				}
 			}
+			return c.Accesses == 500
 		}
-		_ = lines
-		return c.Accesses == 500
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 10}); err != nil {
-		t.Error(err)
+		if err := quick.Check(prop, &quick.Config{MaxCount: 10}); err != nil {
+			t.Errorf("%v: %v", repl, err)
+		}
 	}
 }
 

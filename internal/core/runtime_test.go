@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -452,11 +453,24 @@ func TestIrregularChunkPhaseProperty(t *testing.T) {
 }
 
 // TestSelectBankAllocatesNothing: MinHop and Hybrid score banks over
-// scratch the runtime keeps, so choosing a bank allocates nothing for
-// any affinity-list length up to the cap, repeated banks included.
+// scratch the runtime keeps, and every policy reads the surviving banks
+// through a view, so choosing a bank allocates nothing for any
+// affinity-list length up to the cap, repeated banks included, on a
+// clean machine or one with a dead bank. On the dead-bank machine the
+// first choices are pinned to the ones the copying survivor list gave.
 func TestSelectBankAllocatesNothing(t *testing.T) {
-	for _, pcfg := range []PolicyConfig{{Policy: MinHop}, {Policy: Hybrid, H: 5}} {
-		r := newRuntime(t, pcfg)
+	for _, tc := range []struct {
+		pcfg PolicyConfig
+		dead bool
+		want []int // first banks chosen over aff[:1], aff[:2], …
+	}{
+		{PolicyConfig{Policy: MinHop}, false, nil},
+		{PolicyConfig{Policy: Hybrid, H: 5}, false, nil},
+		{PolicyConfig{Policy: Rnd}, true, []int{42, 49, 10, 10, 21, 60, 20, 32}},
+		{PolicyConfig{Policy: MinHop}, true, []int{0, 0, 10, 10, 11, 10, 11, 10}},
+		{PolicyConfig{Policy: Hybrid, H: 5}, true, []int{17, 17, 18, 18, 19, 18, 19, 18}},
+	} {
+		r := newRuntime(t, tc.pcfg)
 		aff := make([]memsim.Addr, MaxAffinityAddrs)
 		for i := range aff {
 			a, err := r.AllocAtBank(64, i*5%17)
@@ -465,9 +479,25 @@ func TestSelectBankAllocatesNothing(t *testing.T) {
 			}
 			aff[i] = a
 		}
+		if tc.dead {
+			if err := r.space.KillBank(5); err != nil {
+				t.Fatal(err)
+			}
+			var got []int
+			for n := 1; n <= 8; n++ {
+				got = append(got, r.selectBank(aff[:n]))
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("policy %v after KillBank(5): chose banks %v, want %v", tc.pcfg.Policy, got, tc.want)
+			}
+		}
 		for n := 1; n <= MaxAffinityAddrs; n++ {
-			if allocs := testing.AllocsPerRun(20, func() { r.selectBank(aff[:n]) }); allocs != 0 {
-				t.Errorf("policy %v: selectBank over %d addresses allocated %.0f times", pcfg.Policy, n, allocs)
+			if allocs := testing.AllocsPerRun(20, func() {
+				if b := r.selectBank(aff[:n]); !r.space.BankAlive(b) {
+					t.Fatalf("policy %v chose dead bank %d", tc.pcfg.Policy, b)
+				}
+			}); allocs != 0 {
+				t.Errorf("policy %v (dead bank %v): selectBank over %d addresses allocated %.0f times", tc.pcfg.Policy, tc.dead, n, allocs)
 			}
 		}
 	}

@@ -607,12 +607,11 @@ func (s *Space) BankAlive(b int) bool {
 }
 
 // AliveBanks returns the surviving banks in ascending order, or nil when
-// every bank is alive.
+// every bank is alive. The slice is the space's own, read-only to the
+// caller and valid until the next KillBank: bank selection reads it on
+// every placement and must not allocate.
 func (s *Space) AliveBanks() []int {
-	if s.deadBank == nil {
-		return nil
-	}
-	return append([]int(nil), s.survivors...)
+	return s.survivors
 }
 
 // MustBank is Bank that panics on unmapped addresses; placement code uses
