@@ -57,6 +57,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -77,10 +78,33 @@ func main() {
 	flag.Parse()
 
 	if err := run(cc, *addr, *journalDir, *journalReset, *fsync, *queueDepth); err != nil {
-		fmt.Fprintln(os.Stderr, "affinityd:", err)
+		fmt.Fprintln(os.Stderr, errLine(err))
 		os.Exit(1)
 	}
 }
+
+// prefix starts every line the daemon prints. Errors from package
+// affinityd carry it already, so errLine and phaseError strip it before
+// the line adds it once: "affinityd: recovery: journal …", never
+// "affinityd: recovery: affinityd: journal …".
+const prefix = "affinityd: "
+
+// errLine renders err as the daemon's stderr line.
+func errLine(err error) string {
+	return prefix + strings.TrimPrefix(err.Error(), prefix)
+}
+
+// phaseError names the phase of run an error came from.
+type phaseError struct {
+	phase string
+	err   error
+}
+
+func (e *phaseError) Error() string {
+	return e.phase + ": " + strings.TrimPrefix(e.err.Error(), prefix)
+}
+
+func (e *phaseError) Unwrap() error { return e.err }
 
 func run(cc *cliconf.Config, addr, journalDir string, journalReset bool, fsync bool, queueDepth int) error {
 	// Validate the fleet defaults up front so a bad -policy/-faults is
@@ -125,7 +149,7 @@ func run(cc *cliconf.Config, addr, journalDir string, journalReset bool, fsync b
 	// loudly rather than serving a machine whose history is wrong.
 	rec, err := srv.PrepareRecovery()
 	if err != nil {
-		return fmt.Errorf("recovery: %w", err)
+		return &phaseError{"recovery", err}
 	}
 
 	ln, err := net.Listen("tcp", addr)
@@ -153,7 +177,7 @@ func run(cc *cliconf.Config, addr, journalDir string, journalReset bool, fsync b
 		if err != nil {
 			// A replay failure is fatal: the affected machine would 503
 			// forever. Shut down and surface the error as the exit status.
-			fmt.Fprintln(os.Stderr, "affinityd: recovery failed:", err)
+			fmt.Fprintln(os.Stderr, errLine(&phaseError{"recovery failed", err}))
 			stop()
 		}
 		replayDone <- err
@@ -175,10 +199,10 @@ func run(cc *cliconf.Config, addr, journalDir string, journalReset bool, fsync b
 		return err
 	}
 	if err := <-replayDone; err != nil {
-		return fmt.Errorf("recovery: %w", err)
+		return &phaseError{"recovery", err}
 	}
 	if err := <-shutdownDone; err != nil {
-		return fmt.Errorf("shutdown: %w", err)
+		return &phaseError{"shutdown", err}
 	}
 	// Snapshot the document before Close: Close empties the machine
 	// table, and the final export should still carry the per-machine

@@ -178,7 +178,11 @@ func runChaos(cfg chaosConfig) error {
 	// The chaos schedule: interleave kills and stalls at randomized
 	// intervals while the streams run. The interval RNG is seeded for
 	// repeatability of the schedule shape; actual interleaving with the
-	// streams is wall-clock nondeterminism — that's the point.
+	// streams is wall-clock nondeterminism — that's the point. Event k
+	// of n also waits until every stream has finished k/(n+1) of its
+	// steps, so the schedule spreads over the run however fast the
+	// daemon serves, and a longer run (-ops) puts each kill behind more
+	// journal records — past a snapshot record, given enough of them.
 	rng := rand.New(rand.NewSource(cfg.seed))
 	events := make([]bool, 0, cfg.kills+cfg.stalls) // true = kill
 	for i := 0; i < cfg.kills; i++ {
@@ -216,11 +220,19 @@ func runChaos(cfg chaosConfig) error {
 
 	kills, stalls := 0, 0
 chaosLoop:
-	for _, isKill := range events {
+	for k, isKill := range events {
 		select {
 		case <-done:
 			break chaosLoop
 		case <-time.After(time.Duration(100+rng.Intn(250)) * time.Millisecond):
+		}
+		share := int64((k + 1) * steps / (len(events) + 1))
+		for !allPassed(all, share) {
+			select {
+			case <-done:
+				break chaosLoop
+			case <-time.After(5 * time.Millisecond):
+			}
 		}
 		if isKill {
 			kills++
@@ -243,13 +255,8 @@ chaosLoop:
 	<-done
 	wall := time.Since(start)
 
-	// A run that converged before the schedule finished didn't test what
-	// it claims to — refuse to report success for it.
-	if kills < cfg.kills || stalls < cfg.stalls {
-		return fmt.Errorf("streams converged before the schedule fired (%d/%d kills, %d/%d stalls) — raise -ops or lower -kills/-stalls",
-			kills, cfg.kills, stalls, cfg.stalls)
-	}
-
+	// A failed stream stops short of the schedule's next share, so its
+	// error is reported first.
 	totalAllocs, totalFrees := 0, 0
 	for i := range all {
 		if all[i].err != nil {
@@ -257,6 +264,12 @@ chaosLoop:
 		}
 		totalAllocs += all[i].allocs
 		totalFrees += all[i].frees
+	}
+	// A run that converged before the schedule finished didn't test what
+	// it claims to — refuse to report success for it.
+	if kills < cfg.kills || stalls < cfg.stalls {
+		return fmt.Errorf("streams converged before the schedule fired (%d/%d kills, %d/%d stalls) — raise -ops or lower -kills/-stalls",
+			kills, cfg.kills, stalls, cfg.stalls)
 	}
 	fmt.Printf("chaos: %d streams x %d ops converged through %d kills and %d stalls in %.2fs (%d placements, %d frees, %d client retries)\n",
 		cfg.streams, cfg.ops, kills, stalls, wall.Seconds(), totalAllocs, totalFrees, client.Retries())
@@ -298,6 +311,16 @@ chaosLoop:
 	fmt.Printf("chaos: converged — %d placements across %d streams byte-identical to the uninterrupted oracle\n",
 		totalAllocs, cfg.streams)
 	return nil
+}
+
+// allPassed reports whether every stream has finished at least n steps.
+func allPassed(all []streamStats, n int64) bool {
+	for i := range all {
+		if all[i].stepsDone.Load() < n {
+			return false
+		}
+	}
+	return true
 }
 
 // cleanOracle drives the identical seeded streams against a fresh

@@ -48,6 +48,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"affinityalloc/internal/affinityd"
@@ -112,6 +113,9 @@ type streamStats struct {
 	// are recorded as an error.
 	placements map[string]affinityd.Placement
 	freed      map[string]string
+	// stepsDone counts the steps the stream has finished; the chaos
+	// schedule reads it while the stream runs.
+	stepsDone atomic.Int64
 }
 
 func run(seed int64, addr string, streams, ops, batchSize int, keep bool, timeout time.Duration) error {
@@ -259,6 +263,7 @@ func driveSteps(ctx context.Context, client *affinityd.Client, st *streamStats, 
 				}
 			}
 		}
+		st.stepsDone.Store(int64(i + 1))
 		if pace > 0 && i < len(steps)-1 {
 			select {
 			case <-time.After(pace):

@@ -45,10 +45,10 @@ type MemSystem struct {
 	net   *noc.Network
 	banks []*SetAssoc
 	// bankSrv schedules each bank's pipelined access port.
-	bankSrv []*engine.Server
+	bankSrv []engine.Server
 	// ctrls and dramSrv model the memory controllers at the corners.
 	ctrls   []int
-	dramSrv []*engine.Server
+	dramSrv []engine.Server
 	// nearestCtrl caches the closest controller per bank.
 	nearestCtrl []int
 
@@ -94,20 +94,20 @@ func NewMemSystem(space *memsim.Space, net *noc.Network, cfg MemSysConfig) (*Mem
 		space:       space,
 		net:         net,
 		banks:       make([]*SetAssoc, nbanks),
-		bankSrv:     make([]*engine.Server, nbanks),
+		bankSrv:     make([]engine.Server, nbanks),
 		ctrls:       net.Mesh().MemControllers(),
 		nearestCtrl: make([]int, nbanks),
 		bankBusy:    make([]uint64, nbanks),
 	}
-	m.dramSrv = make([]*engine.Server, len(m.ctrls))
+	m.dramSrv = make([]engine.Server, len(m.ctrls))
 	m.chanReads = make([]uint64, len(m.ctrls))
 	m.chanWrites = make([]uint64, len(m.ctrls))
 	m.chanQueueCycles = make([]uint64, len(m.ctrls))
 	for i := range m.dramSrv {
-		m.dramSrv[i] = engine.NewServer(1, 16, 4096)
+		m.dramSrv[i].Init(1, 16, 4096)
 	}
 	for i := range m.banks {
-		m.bankSrv[i] = engine.NewServer(1, 8, 4096)
+		m.bankSrv[i].Init(1, 8, 4096)
 		bank, err := NewSetAssoc(cfg.BankSizeBytes, cfg.BankWays, BRRIP)
 		if err != nil {
 			return nil, err
@@ -341,10 +341,10 @@ func (m *MemSystem) Release() {
 	for _, b := range m.banks {
 		b.Release()
 	}
-	for _, s := range m.bankSrv {
-		s.Release()
+	for i := range m.bankSrv {
+		m.bankSrv[i].Release()
 	}
-	for _, s := range m.dramSrv {
-		s.Release()
+	for i := range m.dramSrv {
+		m.dramSrv[i].Release()
 	}
 }

@@ -196,8 +196,10 @@ type Space struct {
 	iot       *IOT
 	heap      []byte
 	heapUsed  Addr
-	// heapPageMap maps heap virtual page number -> physical page number.
-	heapPageMap map[Addr]PAddr
+	// heapPages maps a heap virtual page number — pages are dense from
+	// HeapBase — to its physical page number; 0 means not yet mapped,
+	// since physical page 0 is never handed out. It grows as pages fault.
+	heapPages []PAddr
 	// physTaken tracks physical pages claimed by random heap mappings.
 	physTaken map[PAddr]bool
 	physNext  PAddr
@@ -239,13 +241,12 @@ func NewSpace(cfg Config) (*Space, error) {
 		return nil, fmt.Errorf("memsim: IOT capacity %d cannot hold %d pools", cfg.IOTCapacity, NumPools)
 	}
 	s := &Space{
-		cfg:         cfg,
-		poolByIl:    make(map[int]*Pool),
-		iot:         NewIOT(cfg.IOTCapacity),
-		heapPageMap: make(map[Addr]PAddr),
-		physTaken:   make(map[PAddr]bool),
-		physNext:    PageSize, // keep physical page 0 unused
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		cfg:       cfg,
+		poolByIl:  make(map[int]*Pool),
+		iot:       NewIOT(cfg.IOTCapacity),
+		physTaken: make(map[PAddr]bool),
+		physNext:  PageSize, // keep physical page 0 unused
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
 	}
 	if len(cfg.DeadBanks) > 0 {
 		s.deadBank = make([]bool, cfg.Banks)
@@ -428,8 +429,11 @@ func (s *Space) Translate(va Addr) (PAddr, error) {
 	}
 	if va >= HeapBase && va < HeapBase+s.heapUsed {
 		vpage := (va - HeapBase) / PageSize
-		ppage, ok := s.heapPageMap[vpage]
-		if !ok {
+		var ppage PAddr
+		if vpage < Addr(len(s.heapPages)) {
+			ppage = s.heapPages[vpage]
+		}
+		if ppage == 0 {
 			ppage = s.mapHeapPage(vpage)
 		}
 		return ppage*PageSize + PAddr(va%PageSize), nil
@@ -453,7 +457,10 @@ func (s *Space) mapHeapPage(vpage Addr) PAddr {
 		ppage = s.physNext / PageSize
 		s.physNext += PageSize
 	}
-	s.heapPageMap[vpage] = ppage
+	if need := int(vpage) + 1; need > len(s.heapPages) {
+		s.heapPages = append(s.heapPages, make([]PAddr, need-len(s.heapPages))...)
+	}
+	s.heapPages[vpage] = ppage
 	s.PageFaults++
 	return ppage
 }

@@ -29,8 +29,11 @@ type AffineStream struct {
 	bank      int
 	curLine   memsim.Addr
 	lineReady engine.Time
-	consumed  int64 // elements consumed (for credits)
-	finish    engine.Time
+	// creditIn counts the elements left before the next credit goes back
+	// to the core; it starts below zero when credits are off and then
+	// never reaches zero.
+	creditIn int64
+	finish   engine.Time
 	// inflight implements the stream's line window (flow control): slot
 	// i holds the completion of the i-th most recent line, and a new
 	// line cannot issue until the oldest slot drains.
@@ -46,6 +49,10 @@ func NewAffineStream(eng *Engine, coreTile int, base memsim.Addr, elemSize int, 
 	if window < 1 {
 		window = 1
 	}
+	creditIn := int64(eng.cfg.CreditElems)
+	if creditIn <= 0 {
+		creditIn = -1
+	}
 	return &AffineStream{
 		eng:      eng,
 		coreTile: coreTile,
@@ -55,6 +62,7 @@ func NewAffineStream(eng *Engine, coreTile int, base memsim.Addr, elemSize int, 
 		count:    count,
 		write:    write,
 		curLine:  noLine,
+		creditIn: creditIn,
 		inflight: make([]engine.Time, window),
 	}
 }
@@ -90,7 +98,9 @@ func (s *AffineStream) AddrReady(addr memsim.Addr, notBefore engine.Time) (bank 
 	if line != s.curLine {
 		s.fetchLine(line, notBefore)
 	}
-	s.noteConsumed()
+	if s.creditIn--; s.creditIn == 0 {
+		s.credit()
+	}
 	ready = engine.MaxTime(s.lineReady, notBefore)
 	if ready > s.finish {
 		s.finish = ready
@@ -114,16 +124,19 @@ func (s *AffineStream) fetchLine(line memsim.Addr, notBefore engine.Time) {
 	start = engine.MaxTime(start, s.inflight[s.inIdx])
 	done, _ := s.eng.mem.AccessAt(start, s.bank, line, s.write)
 	s.inflight[s.inIdx] = done
-	s.inIdx = (s.inIdx + 1) % len(s.inflight)
+	if s.inIdx++; s.inIdx == len(s.inflight) {
+		s.inIdx = 0
+	}
 	s.t = start + 1 // pipelined issue; bank occupancy is inside AccessAt
 	s.lineReady = done
 }
 
-func (s *AffineStream) noteConsumed() {
-	s.consumed++
-	if s.eng.cfg.CreditElems > 0 && s.consumed%int64(s.eng.cfg.CreditElems) == 0 {
-		s.eng.Credit(s.t, s.coreTile, s.bank)
-	}
+// credit returns one credit to the issuing core, which AddrReady and
+// ElemReady do when the countdown reaches zero, and restarts the
+// countdown.
+func (s *AffineStream) credit() {
+	s.creditIn = int64(s.eng.cfg.CreditElems)
+	s.eng.Credit(s.t, s.coreTile, s.bank)
 }
 
 // ElemReady advances the stream to element i and returns the bank where
@@ -139,7 +152,9 @@ func (s *AffineStream) ElemReady(i int64, notBefore engine.Time) (bank int, read
 	if line != s.curLine {
 		s.fetchLine(line, notBefore)
 	}
-	s.noteConsumed()
+	if s.creditIn--; s.creditIn == 0 {
+		s.credit()
+	}
 	ready = engine.MaxTime(s.lineReady, notBefore)
 	if ready > s.finish {
 		s.finish = ready

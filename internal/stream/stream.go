@@ -72,7 +72,7 @@ type Engine struct {
 	net *noc.Network
 
 	// computeSrv schedules each bank's spare SMT compute threads.
-	computeSrv []*engine.Server
+	computeSrv []engine.Server
 
 	// Counters for reports and the energy model.
 	StreamsConfigured uint64
@@ -111,12 +111,12 @@ func NewEngine(mem *cache.MemSystem, cfg Config) *Engine {
 		cfg:           cfg,
 		mem:           mem,
 		net:           mem.Net(),
-		computeSrv:    make([]*engine.Server, mem.Banks()),
+		computeSrv:    make([]engine.Server, mem.Banks()),
 		bankRemoteOps: make([]uint64, mem.Banks()),
 		bankElements:  make([]uint64, mem.Banks()),
 	}
 	for i := range e.computeSrv {
-		e.computeSrv[i] = engine.NewServer(cfg.SMTThreads, 8, 4096)
+		e.computeSrv[i].Init(cfg.SMTThreads, 8, 4096)
 	}
 	return e
 }
@@ -282,8 +282,8 @@ func (e *Engine) PublishTelemetry(r *telemetry.Registry) {
 // reuse. The engine must not schedule afterwards; its counters stay
 // readable. Releasing twice does nothing.
 func (e *Engine) Release() {
-	for _, s := range e.computeSrv {
-		s.Release()
+	for i := range e.computeSrv {
+		e.computeSrv[i].Release()
 	}
 }
 

@@ -243,3 +243,41 @@ func TestOffloadAndCreditTraffic(t *testing.T) {
 		t.Error("credit produced no control traffic")
 	}
 }
+
+// TestAffineStreamCredits pins the coarse-grained flow control: a stream
+// over n elements sends the core ⌊n / CreditElems⌋ credits, one Control
+// message each, and none when CreditElems is 0. The array is preloaded,
+// so no miss adds Control traffic of its own; both the index-driven and
+// the address-driven walks count.
+func TestAffineStreamCredits(t *testing.T) {
+	for _, credit := range []int{0, 1, 3, 1024} {
+		for _, n := range []int64{0, 1, 2, 3, 1023, 1024, 1025, 3072, 5000} {
+			space := memsim.MustSpace(memsim.DefaultConfig())
+			net := noc.New(topo.MustMesh(8, 8, topo.RowMajor), noc.DefaultConfig())
+			mem, err := cache.NewMemSystem(space, net, cache.DefaultMemSysConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig()
+			cfg.CreditElems = credit
+			eng := NewEngine(mem, cfg)
+			bytes := max(n, 1) * 4
+			base := poolArray(t, space, 64, bytes)
+			mem.Preload(base, bytes)
+
+			byIndex := NewAffineStream(eng, 9, base, 4, 1, n, false)
+			byAddr := NewAffineStream(eng, 9, base, 4, 1, n, false)
+			for i := int64(0); i < n; i++ {
+				byIndex.ElemReady(i, 0)
+				byAddr.AddrReady(byAddr.ElemAddr(i), 0)
+			}
+			want := uint64(0)
+			if credit > 0 {
+				want = 2 * uint64(n/int64(credit))
+			}
+			if got := net.Stats()[noc.Control].Messages; got != want {
+				t.Errorf("CreditElems %d, two streams of %d elements: %d Control messages, want %d", credit, n, got, want)
+			}
+		}
+	}
+}
