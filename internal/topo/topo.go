@@ -171,6 +171,29 @@ func (m *Mesh) LinkIndex(l Link) int {
 	return (l.From.Y*m.width+l.From.X)*4 + int(l.Dir)
 }
 
+// XYLegs describes the route Route would list as two legs of dense link
+// indices, so a hot path can walk it without building the list: the X
+// leg is dx links starting at index x0, each xStep past the one before,
+// and the Y leg is dy links starting at y0, yStep apart. Under
+// LinkIndex's layout a step along a row moves the index by ±4 and a step
+// down a column by ±4·W.
+func (m *Mesh) XYLegs(from, to int) (x0, xStep, dx, y0, yStep, dy int) {
+	a, b := m.bankToCoord[from], m.bankToCoord[to]
+	xDir, yDir := East, South
+	dx, dy, xStep, yStep = b.X-a.X, b.Y-a.Y, 4, 4*m.width
+	if dx < 0 {
+		dx, xDir, xStep = -dx, West, -xStep
+	}
+	if dy < 0 {
+		dy, yDir, yStep = -dy, North, -yStep
+	}
+	// The X leg runs along the source row, the Y leg down the
+	// destination column.
+	x0 = m.LinkIndex(Link{From: a, Dir: xDir})
+	y0 = m.LinkIndex(Link{From: Coord{X: b.X, Y: a.Y}, Dir: yDir})
+	return x0, xStep, dx, y0, yStep, dy
+}
+
 // NumLinks returns the size of the dense link index space.
 func (m *Mesh) NumLinks() int { return m.width * m.height * 4 }
 

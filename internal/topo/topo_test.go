@@ -131,6 +131,47 @@ func TestLinkIndexDense(t *testing.T) {
 	}
 }
 
+// TestXYLegsMatchRoute pins XYLegs to Route and LinkIndex: for every
+// pair of banks, its two legs name exactly the dense indices of Route's
+// links, in order.
+func TestXYLegsMatchRoute(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    *Mesh
+	}{
+		{"8x8 row-major", MustMesh(8, 8, RowMajor)},
+		{"8x8 quadrant", MustMesh(8, 8, Quadrant)},
+		{"4x2 row-major", MustMesh(4, 2, RowMajor)},
+		{"1x1", MustMesh(1, 1, RowMajor)},
+	} {
+		m := tc.m
+		var route []Link
+		for from := 0; from < m.Banks(); from++ {
+			for to := 0; to < m.Banks(); to++ {
+				route = m.Route(route[:0], from, to)
+				x0, xStep, dx, y0, yStep, dy := m.XYLegs(from, to)
+				if dx < 0 || dy < 0 || dx+dy != len(route) {
+					t.Fatalf("%s %d->%d: legs of %d+%d links, route has %d",
+						tc.name, from, to, dx, dy, len(route))
+				}
+				var legs []int
+				for i := 0; i < dx; i++ {
+					legs = append(legs, x0+i*xStep)
+				}
+				for i := 0; i < dy; i++ {
+					legs = append(legs, y0+i*yStep)
+				}
+				for i, l := range route {
+					if legs[i] != m.LinkIndex(l) {
+						t.Fatalf("%s %d->%d: link %d is index %d, legs say %d",
+							tc.name, from, to, i, m.LinkIndex(l), legs[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMemControllersAtCorners(t *testing.T) {
 	m := MustMesh(8, 8, RowMajor)
 	ctrls := m.MemControllers()
