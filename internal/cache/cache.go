@@ -55,7 +55,11 @@ type SetAssoc struct {
 	repl       Replacement
 	// store owns the entries until Release hands it back.
 	store *[]uint64
-	e     []uint64 // sets*ways entries, set-major
+	// e holds sets*ways entries, set-major. A set's entries mean nothing
+	// until its bit in ready is set, so e is read only through set.
+	e     []uint64
+	ready []uint64 // one bit per set: its ways have been initialised
+	empty []uint64 // emptySet[repl][:ways]; indexing emptySet in set would exceed its inlining budget
 	fills uint64   // drives the bimodal insertion counter
 
 	Accesses uint64
@@ -74,18 +78,13 @@ func NewSetAssoc(sizeBytes, ways int, repl Replacement) (*SetAssoc, error) {
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d not a power of two", sets)
 	}
+	// The storage may come back from a released array, or fresh from
+	// make as all zeros (which would read as line 0); either way no
+	// entry is written here. set initialises each set the first time it
+	// is looked up, so a cell pays only for the sets it touches.
 	st := tagPool(sets * ways).Get().(*[]uint64)
-	c := &SetAssoc{sets: sets, ways: ways, repl: repl, store: st, e: *st}
-	// Storage may come back from a released array, so every entry is set
-	// here, recycled or not. LRU gives each way a distinct initial stack
-	// position; BRRIP starts every RRPV at 0.
-	for i := range c.e {
-		c.e[i] = invalidTag << tagShift
-		if repl == LRU {
-			c.e[i] |= uint64(i % ways)
-		}
-	}
-	return c, nil
+	return &SetAssoc{sets: sets, ways: ways, repl: repl, store: st, e: *st,
+		ready: make([]uint64, (sets+63)/64), empty: emptySet[repl][:ways]}, nil
 }
 
 // tagPools holds one *sync.Pool of *[]uint64 per sets·ways.
@@ -110,7 +109,7 @@ func (c *SetAssoc) Release() {
 		return
 	}
 	tagPool(len(c.e)).Put(c.store)
-	c.store, c.e = nil, nil
+	c.store, c.e, c.ready = nil, nil, nil
 }
 
 // MustSetAssoc is NewSetAssoc that panics on error.
@@ -132,12 +131,30 @@ func (c *SetAssoc) Ways() int { return c.ways }
 // folds the bits above the bank-interleave field into the index; without
 // it, the lines homed at one bank (which share their low line bits
 // modulo the interleave) would alias into a handful of sets. Real LLCs
-// use similar index hashes for the same reason.
+// use similar index hashes for the same reason. The first lookup of a
+// set empties it, whatever its storage held before.
 func (c *SetAssoc) set(line uint64) []uint64 {
 	h := line ^ line>>10 ^ line>>20 ^ line>>32
-	base := (int(h) & (c.sets - 1)) * c.ways
-	return c.e[base : base+c.ways]
+	i := int(h) & (c.sets - 1)
+	set := c.e[i*c.ways : (i+1)*c.ways]
+	if c.ready[i>>6]&(1<<(i&63)) == 0 {
+		c.ready[i>>6] |= 1 << (i & 63)
+		copy(set, c.empty)
+	}
+	return set
 }
+
+// emptySet holds, per policy, the ways of a set before its first lookup:
+// every way invalid and clean, LRU stack positions 0…maxWays−1 (a set of
+// fewer ways takes a prefix), every RRPV 0. Copying a prefix keeps set's
+// one-time initialisation a builtin, so set stays inlinable.
+var emptySet = func() (e [BRRIP + 1][maxWays]uint64) {
+	for w := range maxWays {
+		e[LRU][w] = invalidTag<<tagShift | uint64(w)
+		e[BRRIP][w] = invalidTag << tagShift
+	}
+	return e
+}()
 
 // find returns the way holding line in set, or -1.
 func find(set []uint64, line uint64) int {

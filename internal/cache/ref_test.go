@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"affinityalloc/internal/memsim"
@@ -158,13 +159,34 @@ func (c *refSetAssoc) victim(base int) int {
 // diffAgainstRef drives the packed array and the reference with the
 // same seeded sequence of Access, Install and Probe calls, writes mixed
 // in, over a footprint about twice the array, and reports the first
-// step at which any result or counter differs.
-func diffAgainstRef(t *testing.T, sets, ways int, repl Replacement, seed int64, steps int) {
+// step at which any result or counter differs. It runs the sequence
+// twice: on an array as NewSetAssoc hands it out, and then on the
+// storage that array releases once the first run has left it full of
+// dirty ways, aged LRU positions and aged RRPVs. It reports whether the
+// pool handed that storage back; when it did, NewSetAssoc must have
+// left every entry as the released array wrote it.
+func diffAgainstRef(t *testing.T, sets, ways int, repl Replacement, seed int64, steps int) (reused bool) {
 	t.Helper()
 	size := sets * ways * memsim.LineSize
-	got := MustSetAssoc(size, ways, repl)
-	defer got.Release()
-	want := newRefSetAssoc(size, ways, repl)
+	first := MustSetAssoc(size, ways, repl)
+	driveAgainstRef(t, first, "new", sets, ways, repl, seed, steps)
+	released, entries := first.store, slices.Clone(first.e)
+	first.Release()
+	again := MustSetAssoc(size, ways, repl)
+	defer again.Release()
+	if again.store == released {
+		reused = true
+		if !slices.Equal(again.e, entries) {
+			t.Fatalf("%d ways %v seed %d: NewSetAssoc rewrote the entries of recycled storage", ways, repl, seed)
+		}
+	}
+	driveAgainstRef(t, again, "recycled", sets, ways, repl, seed, steps)
+	return reused
+}
+
+func driveAgainstRef(t *testing.T, got *SetAssoc, storage string, sets, ways int, repl Replacement, seed int64, steps int) {
+	t.Helper()
+	want := newRefSetAssoc(sets*ways*memsim.LineSize, ways, repl)
 	rng := rand.New(rand.NewSource(seed))
 	// Lines span the whole 48-bit address space's line range, so the
 	// index hash's high folds and the largest tags are exercised too.
@@ -181,25 +203,25 @@ func diffAgainstRef(t *testing.T, sets, ways int, repl Replacement, seed int64, 
 			h1, v1, d1 := got.Access(line, write)
 			h2, v2, d2 := want.Access(line, write)
 			if h1 != h2 || v1 != v2 || d1 != d2 {
-				t.Fatalf("%d ways %v seed %d step %d: Access(%#x, %v) = (%v, %#x, %v), reference (%v, %#x, %v)",
-					ways, repl, seed, step, line, write, h1, v1, d1, h2, v2, d2)
+				t.Fatalf("%d ways %v seed %d, %s storage, step %d: Access(%#x, %v) = (%v, %#x, %v), reference (%v, %#x, %v)",
+					ways, repl, seed, storage, step, line, write, h1, v1, d1, h2, v2, d2)
 			}
 		case op < 7:
 			got.Install(line)
 			want.Install(line)
 		default:
 			if p1, p2 := got.Probe(line), want.Probe(line); p1 != p2 {
-				t.Fatalf("%d ways %v seed %d step %d: Probe(%#x) = %v, reference %v", ways, repl, seed, step, line, p1, p2)
+				t.Fatalf("%d ways %v seed %d, %s storage, step %d: Probe(%#x) = %v, reference %v", ways, repl, seed, storage, step, line, p1, p2)
 			}
 		}
 		if got.Accesses != want.Accesses || got.Hits != want.Hits || got.Misses != want.Misses {
-			t.Fatalf("%d ways %v seed %d step %d: counters %d/%d/%d, reference %d/%d/%d", ways, repl, seed, step,
+			t.Fatalf("%d ways %v seed %d, %s storage, step %d: counters %d/%d/%d, reference %d/%d/%d", ways, repl, seed, storage, step,
 				got.Accesses, got.Hits, got.Misses, want.Accesses, want.Hits, want.Misses)
 		}
 	}
 	for _, line := range pool {
 		if got.Probe(line) != want.Probe(line) {
-			t.Fatalf("%d ways %v seed %d: final contents differ at line %#x", ways, repl, seed, line)
+			t.Fatalf("%d ways %v seed %d, %s storage: final contents differ at line %#x", ways, repl, seed, storage, line)
 		}
 	}
 }
@@ -211,14 +233,24 @@ const maxMemLine = (uint64(1)<<48 - 1) / memsim.LineSize
 // TestSetAssocMatchesReference: the packed array agrees with the
 // three-slice reference on hits, victims, dirty victims, contents and
 // counters, under both policies, from direct-mapped to the widest
-// associativity the replacement field holds.
+// associativity the replacement field holds, on new and on recycled
+// storage. sync.Pool may drop a released array (always possible, and
+// at random under the race detector), so reuse is required only of the
+// run as a whole.
 func TestSetAssocMatchesReference(t *testing.T) {
+	runs, reused := 0, 0
 	for _, ways := range []int{1, 4, 8, 16, 127} {
 		for _, repl := range []Replacement{LRU, BRRIP} {
 			for seed := int64(1); seed <= 3; seed++ {
-				diffAgainstRef(t, 8, ways, repl, seed, 20000)
+				runs++
+				if diffAgainstRef(t, 8, ways, repl, seed, 20000) {
+					reused++
+				}
 			}
 		}
+	}
+	if reused == 0 {
+		t.Errorf("the pool handed back none of %d released arrays; the recycled-storage runs saw only new storage", runs)
 	}
 }
 

@@ -121,38 +121,36 @@ func (r *Runtime) selectBank(affinity []memsim.Addr) int {
 		return alive[r.rng.Intn(len(alive))]
 	}
 
-	// MinHop and Hybrid score every bank with Eq. 4. Collapse affinity
-	// addresses to distinct banks with multiplicities first, into
-	// scratch the runtime keeps between calls.
-	affBanks, affCounts := r.affBanks[:0], r.affCounts[:0]
+	// MinHop and Hybrid score every bank with Eq. 4. A bank's hop sum
+	// separates by axis, Σ hops(b, aᵢ) = colCost[x_b] + rowCost[y_b]
+	// (Mesh.AddHopsFrom), so both vectors are built once per call, into
+	// scratch the runtime keeps, and each bank's sum is two loads.
+	colCost, rowCost := r.colCost, r.rowCost
+	clear(colCost)
+	clear(rowCost)
 	for _, a := range affinity {
-		b := r.space.MustBank(a)
-		found := false
-		for i, e := range affBanks {
-			if e == b {
-				affCounts[i]++
-				found = true
-				break
-			}
-		}
-		if !found {
-			affBanks = append(affBanks, b)
-			affCounts = append(affCounts, 1)
-		}
+		r.mesh.AddHopsFrom(r.space.MustBank(a), colCost, rowCost)
 	}
-	r.affBanks, r.affCounts = affBanks, affCounts
 	h := 0.0
 	if r.pcfg.Policy == Hybrid {
 		h = r.pcfg.H
 	}
+	avg := r.avgLoad()
 	best, bestScore, first := 0, 0.0, true
 	for b := 0; b < nb; b++ {
 		if alive != nil && !r.space.BankAlive(b) {
 			continue
 		}
-		s := r.scoreBank(b, affBanks, affCounts, len(affinity), h)
-		if first || s < bestScore {
-			best, bestScore, first = b, s, false
+		score := 0.0
+		if len(affinity) > 0 {
+			c := r.mesh.CoordOf(b)
+			score = float64(colCost[c.X]+rowCost[c.Y]) / float64(len(affinity))
+		}
+		if h != 0 && avg > 0 {
+			score += h * (float64(r.load[b])/avg - 1)
+		}
+		if first || score < bestScore {
+			best, bestScore, first = b, score, false
 		}
 	}
 	return best

@@ -156,9 +156,9 @@ type Runtime struct {
 	// load tracks irregular allocations per bank (Eq. 4's load term).
 	load      []int
 	totalLoad int
-	// affBanks and affCounts are selectBank's scratch: the distinct
-	// banks of one call's affinity addresses and their multiplicities.
-	affBanks, affCounts []int
+	// colCost and rowCost are selectBank's scratch: the hops from each
+	// mesh column and row to one call's affinity addresses.
+	colCost, rowCost []int
 
 	// Baseline (affinity-oblivious) allocator state.
 	heapCur, heapEnd memsim.Addr
@@ -188,6 +188,8 @@ func New(space *memsim.Space, mesh *topo.Mesh, pcfg PolicyConfig, seed int64) (*
 		freeChunks: make(map[int][][]memsim.Addr),
 		freeRanges: make(map[int][]addrRange),
 		load:       make([]int, mesh.Banks()),
+		colCost:    make([]int, mesh.Width()),
+		rowCost:    make([]int, mesh.Height()),
 		baseFree:   make(map[int64][]memsim.Addr),
 	}
 	return r, nil
@@ -316,23 +318,4 @@ func (r *Runtime) hops(a, b int) int { return r.mesh.Hops(a, b) }
 // avgLoad returns the Eq. 4 denominator.
 func (r *Runtime) avgLoad() float64 {
 	return float64(r.totalLoad) / float64(len(r.load))
-}
-
-// scoreBank evaluates Eq. 4 for a candidate bank given the distinct
-// affinity banks and their multiplicities.
-func (r *Runtime) scoreBank(bank int, affBanks []int, affCounts []int, nAff int, h float64) float64 {
-	score := 0.0
-	if nAff > 0 {
-		sum := 0
-		for i, ab := range affBanks {
-			sum += affCounts[i] * r.hops(bank, ab)
-		}
-		score = float64(sum) / float64(nAff)
-	}
-	if h != 0 {
-		if avg := r.avgLoad(); avg > 0 {
-			score += h * (float64(r.load[bank])/avg - 1)
-		}
-	}
-	return score
 }

@@ -7,6 +7,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"affinityalloc/internal/engine"
 	"affinityalloc/internal/faults"
@@ -84,6 +85,9 @@ type ClassStats struct {
 type Network struct {
 	mesh *topo.Mesh
 	cfg  Config
+	// linkLog is log2 of cfg.LinkBytes, so Flits shifts instead of
+	// dividing.
+	linkLog uint
 
 	linkSrv   []engine.Server // per-link flit schedule, by dense link index
 	linkFlits []uint64        // flits ever pushed through each directed link
@@ -128,12 +132,18 @@ func (cfg Config) withDefaults() Config {
 }
 
 // New builds a network over the given mesh. Zero-valued cfg fields take
-// Table-2 defaults; see withDefaults.
+// Table-2 defaults; see withDefaults. The link width must be a power of
+// two (sys.Config.Validate refuses any other), so Flits can shift; any
+// other width is a programmer error and panics.
 func New(mesh *topo.Mesh, cfg Config) *Network {
 	cfg = cfg.withDefaults()
+	if cfg.LinkBytes&(cfg.LinkBytes-1) != 0 {
+		panic(fmt.Sprintf("noc: a %d-byte link is not a power of two (programmer error)", cfg.LinkBytes))
+	}
 	n := &Network{
 		mesh:      mesh,
 		cfg:       cfg,
+		linkLog:   uint(bits.TrailingZeros(uint(cfg.LinkBytes))),
 		linkSrv:   make([]engine.Server, mesh.NumLinks()),
 		linkFlits: make([]uint64, mesh.NumLinks()),
 	}
@@ -153,7 +163,7 @@ func (n *Network) PerHopCycles() engine.Time { return n.cfg.PerHopCycles }
 // Flits returns the number of flits a message with the given payload
 // occupies, including the header flit share.
 func (n *Network) Flits(payloadBytes int) int {
-	return max((payloadBytes+n.cfg.HeaderBytes+n.cfg.LinkBytes-1)/n.cfg.LinkBytes, 1)
+	return max((payloadBytes+n.cfg.HeaderBytes+n.cfg.LinkBytes-1)>>n.linkLog, 1)
 }
 
 // Send models one message injected at cycle now, travelling from bank

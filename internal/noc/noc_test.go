@@ -26,6 +26,22 @@ func TestFlitsRounding(t *testing.T) {
 	}
 }
 
+// TestNewRejectsOddLinkWidth: a link width that is not a power of two
+// would need a division per message; sys.Config.Validate refuses one,
+// so New panics on it as a programmer error.
+func TestNewRejectsOddLinkWidth(t *testing.T) {
+	for _, width := range []int{3, 24, 48} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New with %d-byte links did not panic", width)
+				}
+			}()
+			New(topo.MustMesh(4, 4, topo.RowMajor), Config{LinkBytes: width})
+		}()
+	}
+}
+
 func TestLocalMessageCostsNoTraffic(t *testing.T) {
 	n := newNet(t)
 	arrive := n.Send(100, 5, 5, Data, 64)
@@ -192,7 +208,7 @@ func TestSendMatchesReference(t *testing.T) {
 		topo.MustMesh(8, 8, topo.Quadrant),
 		topo.MustMesh(4, 2, topo.RowMajor),
 	}
-	configs := []Config{DefaultConfig(), {PerHopCycles: 3, LinkBytes: 16, ModelConflict: true}, {LinkBytes: 24, HeaderBytes: 4, ModelConflict: true}, {PerHopCycles: 2}}
+	configs := []Config{DefaultConfig(), {PerHopCycles: 3, LinkBytes: 16, ModelConflict: true}, {LinkBytes: 8, HeaderBytes: 4, ModelConflict: true}, {PerHopCycles: 2}}
 	payloads := []int{0, 8, 24, 56, 64, 72, 200}
 	for mi, mesh := range meshes {
 		for ci, cfg := range configs {

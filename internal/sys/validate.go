@@ -68,6 +68,9 @@ func (c Config) Validate() error {
 	if c.NoC.LinkBytes < 0 || c.NoC.HeaderBytes < 0 {
 		return fmt.Errorf("sys: NoC link/header bytes %d/%d cannot be negative (zero selects Table-2 defaults)", c.NoC.LinkBytes, c.NoC.HeaderBytes)
 	}
+	if lb := c.NoC.LinkBytes; lb&(lb-1) != 0 {
+		return fmt.Errorf("sys: NoC link width %d bytes: must be a power of two (zero selects Table 2's 32)", lb)
+	}
 	if c.Stream.SIMDLanes < 0 || c.Stream.SMTThreads < 0 {
 		return fmt.Errorf("sys: stream SIMDLanes/SMTThreads %d/%d cannot be negative (zero selects Table-2 defaults)", c.Stream.SIMDLanes, c.Stream.SMTThreads)
 	}

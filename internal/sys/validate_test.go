@@ -31,6 +31,7 @@ func TestConfigValidate(t *testing.T) {
 		{"bad policy", func(c *Config) { c.Policy.Policy = core.Policy(99) }, "policy"},
 		{"negative H", func(c *Config) { c.Policy.H = -1 }, "H="},
 		{"negative link bytes", func(c *Config) { c.NoC.LinkBytes = -1 }, "NoC"},
+		{"link bytes not a power of two", func(c *Config) { c.NoC.LinkBytes = 24 }, "power of two"},
 		{"negative SIMD lanes", func(c *Config) { c.Stream.SIMDLanes = -2 }, "stream"},
 		{"SMT threads overflow a window count", func(c *Config) { c.Stream.SMTThreads = maxSMTThreads + 1 }, "SMTThreads"},
 		{"zero interleave", func(c *Config) { c.Mem.DefaultInterleave = 0 }, "interleave"},

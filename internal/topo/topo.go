@@ -122,6 +122,21 @@ func (m *Mesh) Hops(from, to int) int {
 	return abs(a.X-b.X) + abs(a.Y-b.Y)
 }
 
+// AddHopsFrom adds, for every column x and row y, the hops along each
+// axis between that column or row and the given bank: cols[x] +=
+// |x − x(bank)|, rows[y] += |y − y(bank)|. Hops separates by axis, so
+// after calls for banks a₁…aₙ, Σᵢ Hops(b, aᵢ) is cols[x(b)] + rows[y(b)]
+// for every bank b. cols and rows must be Width and Height long.
+func (m *Mesh) AddHopsFrom(bank int, cols, rows []int) {
+	c := m.bankToCoord[bank]
+	for x := range cols {
+		cols[x] += abs(x - c.X)
+	}
+	for y := range rows {
+		rows[y] += abs(y - c.Y)
+	}
+}
+
 // LinkDir identifies the four mesh link directions.
 type LinkDir int
 

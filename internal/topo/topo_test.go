@@ -73,6 +73,24 @@ func TestHopsMatchesRouteLength(t *testing.T) {
 	}
 }
 
+// TestAddHopsFromSeparates: on every bank pair of 8×8 row-major, 8×8
+// quadrant and 4×2 meshes, the axis vectors AddHopsFrom builds for one
+// bank give Hops to every other.
+func TestAddHopsFromSeparates(t *testing.T) {
+	for _, m := range []*Mesh{MustMesh(8, 8, RowMajor), MustMesh(8, 8, Quadrant), MustMesh(4, 2, RowMajor)} {
+		for a := 0; a < m.Banks(); a++ {
+			cols, rows := make([]int, m.Width()), make([]int, m.Height())
+			m.AddHopsFrom(a, cols, rows)
+			for b := 0; b < m.Banks(); b++ {
+				c := m.CoordOf(b)
+				if got := cols[c.X] + rows[c.Y]; got != m.Hops(b, a) {
+					t.Fatalf("%dx%d: from bank %d, axis sums to bank %d read %d, Hops %d", m.Width(), m.Height(), a, b, got, m.Hops(b, a))
+				}
+			}
+		}
+	}
+}
+
 func TestHopsProperties(t *testing.T) {
 	m := MustMesh(8, 8, RowMajor)
 	symmetric := func(a, b uint8) bool {
