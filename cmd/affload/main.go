@@ -327,10 +327,7 @@ func runTrace(addr, path string, batchSize int, keep bool, timeout time.Duration
 			fail(sc.Label, err)
 			continue
 		}
-		reg, err := client.Register(ctx, affinityd.MachineSpec{
-			MeshW: sc.MeshW, MeshH: sc.MeshH, Seed: sc.Seed,
-			Policy: sc.Policy, Faults: sc.Faults,
-		})
+		reg, err := client.Register(ctx, affinityd.SpecOf(sc))
 		if err != nil {
 			fail(sc.Label, err)
 			continue

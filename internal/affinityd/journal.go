@@ -29,12 +29,15 @@ package affinityd
 // whose history is wrong. Journals of the line-framed JSON format
 // (affinityd-journal/v1) are refused by name.
 //
-// The payload follows afftrace/v1's conventions (internal/trace): the
-// kind byte, the seq, the batch key, then the kind's fields in a fixed
-// order — uvarints for counts, zigzag varints for integers a request
-// may carry negative, length-prefixed strings. The decoder accepts only
-// the encoder's canonical form and bounds every count by the bytes left,
-// so no allocation is sized from unchecked input.
+// The payload is written and read by afftrace/v1's codec
+// (trace.Writer and trace.Reader), and both checks are its Checksum:
+// the kind byte, the seq, the batch key, then the kind's fields in a
+// fixed order — uvarints for counts, zigzag varints for integers a
+// request may carry negative, length-prefixed strings. The reader
+// accepts only the writer's canonical form and bounds every count by
+// the bytes left, so no allocation is sized from unchecked input.
+// Records stay wire records keyed by client string IDs, not trace
+// events: afftrace/v1 names allocations by ordinal.
 //
 // Every snapshotEvery operation records the worker also appends a
 // snapshot record, framed and numbered like the rest: the alloc count,
@@ -50,15 +53,15 @@ package affinityd
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+
+	"affinityalloc/internal/trace"
 )
 
 // journalMagic is the first line of every journal file, carrying the
@@ -102,8 +105,6 @@ const (
 	frameTrailerLen = 4
 	maxFramePayload = 1 << 28
 )
-
-var journalCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // Record is one committed operation in a machine's write-ahead journal.
 // Only the fields of its kind are encoded.
@@ -247,246 +248,138 @@ func appendFrame(dst []byte, rec *Record) ([]byte, error) {
 	}
 	h := dst[start : start+frameHeaderLen]
 	binary.LittleEndian.PutUint32(h, uint32(n))
-	binary.LittleEndian.PutUint32(h[4:], crc32.Checksum(h[:4], journalCRC))
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start+frameHeaderLen:], journalCRC)), nil
+	binary.LittleEndian.PutUint32(h[4:], trace.Checksum(h[:4]))
+	return binary.LittleEndian.AppendUint32(dst, trace.Checksum(dst[start+frameHeaderLen:])), nil
 }
 
 // appendRecord appends rec's payload to b.
 func appendRecord(b []byte, rec *Record) []byte {
-	b = append(b, byte(rec.Kind))
-	b = binary.AppendUvarint(b, rec.Seq)
-	b = appendStr(b, rec.Batch)
+	w := trace.Writer{Buf: b}
+	w.Byte(byte(rec.Kind))
+	w.Uvarint(rec.Seq)
+	w.Str(rec.Batch)
 	switch rec.Kind {
 	case recRegister:
 		s := &rec.Spec
-		b = binary.AppendVarint(b, int64(s.MeshW))
-		b = binary.AppendVarint(b, int64(s.MeshH))
-		b = binary.AppendVarint(b, s.Seed)
-		b = appendStr(b, s.Policy)
-		b = appendStr(b, s.Faults)
+		w.Varint(int64(s.MeshW))
+		w.Varint(int64(s.MeshH))
+		w.Varint(s.Seed)
+		w.Str(s.Policy)
+		w.Str(s.Faults)
 	case recPool:
-		b = binary.AppendVarint(b, int64(rec.Interleave))
+		w.Varint(int64(rec.Interleave))
 	case recAlloc:
-		b = binary.AppendUvarint(b, uint64(len(rec.Allocs)))
+		w.Uvarint(uint64(len(rec.Allocs)))
 		for i := range rec.Allocs {
-			b = appendAllocRequest(b, &rec.Allocs[i])
+			appendAllocRequest(&w, &rec.Allocs[i])
 		}
 	case recFree:
-		b = binary.AppendUvarint(b, uint64(len(rec.Frees)))
+		w.Uvarint(uint64(len(rec.Frees)))
 		for _, id := range rec.Frees {
-			b = appendStr(b, id)
+			w.Str(id)
 		}
 	case recSnapshot:
-		b = binary.AppendUvarint(b, rec.Snapshot.Allocs)
-		b = binary.AppendVarint(b, int64(rec.Snapshot.LiveHandles))
-		b = appendStr(b, rec.Snapshot.StateSum)
+		w.Uvarint(rec.Snapshot.Allocs)
+		w.Varint(int64(rec.Snapshot.LiveHandles))
+		w.Str(rec.Snapshot.StateSum)
 	}
-	return b
+	return w.Buf
 }
 
 // allocRequestMinLen is the fewest payload bytes one encoded
 // AllocRequest takes: one per field.
 const allocRequestMinLen = 13
 
-func appendAllocRequest(b []byte, q *AllocRequest) []byte {
-	b = appendStr(b, q.ID)
-	b = appendStr(b, q.Kind)
-	b = appendStr(b, q.Mode)
-	b = binary.AppendVarint(b, int64(q.ElemSize))
-	b = binary.AppendVarint(b, q.NumElem)
-	b = appendStr(b, q.AlignTo)
-	b = binary.AppendVarint(b, int64(q.AlignP))
-	b = binary.AppendVarint(b, int64(q.AlignQ))
-	b = binary.AppendVarint(b, q.AlignX)
-	if q.Partition {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = binary.AppendVarint(b, q.Size)
-	b = binary.AppendUvarint(b, uint64(len(q.Affinity)))
+func appendAllocRequest(w *trace.Writer, q *AllocRequest) {
+	w.Str(q.ID)
+	w.Str(q.Kind)
+	w.Str(q.Mode)
+	w.Varint(int64(q.ElemSize))
+	w.Varint(q.NumElem)
+	w.Str(q.AlignTo)
+	w.Varint(int64(q.AlignP))
+	w.Varint(int64(q.AlignQ))
+	w.Varint(q.AlignX)
+	w.Flag(q.Partition)
+	w.Varint(q.Size)
+	w.Uvarint(uint64(len(q.Affinity)))
 	for _, e := range q.Affinity {
-		b = appendStr(b, e.Ref)
-		b = binary.AppendVarint(b, e.Elem)
+		w.Str(e.Ref)
+		w.Varint(e.Elem)
 	}
-	b = binary.AppendUvarint(b, uint64(len(q.BankProbe)))
+	w.Uvarint(uint64(len(q.BankProbe)))
 	for _, v := range q.BankProbe {
-		b = binary.AppendVarint(b, v)
+		w.Varint(v)
 	}
-	return b
-}
-
-func appendStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// recReader consumes one payload; the first error poisons it.
-type recReader struct {
-	buf []byte
-	err error
-}
-
-func (r *recReader) fail(msg string) {
-	if r.err == nil {
-		r.err = errors.New(msg)
-	}
-}
-
-func (r *recReader) byte1() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) == 0 {
-		r.fail("truncated payload")
-		return 0
-	}
-	v := r.buf[0]
-	r.buf = r.buf[1:]
-	return v
-}
-
-// u reads a uvarint, refusing the padded forms the encoder never writes
-// (a last byte of zero after the first), so decoding is one-to-one.
-func (r *recReader) u() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.fail("truncated or overlong varint")
-		return 0
-	}
-	if n > 1 && r.buf[n-1] == 0 {
-		r.fail("padded varint")
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-// i reads a zigzag varint.
-func (r *recReader) i() int64 {
-	v := r.u()
-	return int64(v>>1) ^ -int64(v&1)
-}
-
-// int reads a zigzag varint into an int, refusing values that would
-// wrap.
-func (r *recReader) int() int {
-	v := r.i()
-	if int64(int(v)) != v {
-		r.fail("integer field out of range")
-		return 0
-	}
-	return int(v)
-}
-
-func (r *recReader) flag() bool {
-	v := r.byte1()
-	if v > 1 {
-		r.fail("flag byte is neither 0 nor 1")
-	}
-	return v == 1
-}
-
-// str reads a length-prefixed string into its own allocation, so no
-// long-lived key pins the journal's bytes.
-func (r *recReader) str() string {
-	n := r.u()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.buf)) {
-		r.fail("truncated string")
-		return ""
-	}
-	s := string(r.buf[:n])
-	r.buf = r.buf[n:]
-	return s
-}
-
-// count reads a list length no larger than the payload left could
-// hold at minLen bytes an element.
-func (r *recReader) count(minLen int) int {
-	n := r.u()
-	if n > uint64(len(r.buf)/minLen) {
-		r.fail("list count exceeds payload")
-		return 0
-	}
-	return int(n)
 }
 
 // decodeRecord decodes one verified payload. It accepts exactly the
 // bytes appendRecord writes.
 func decodeRecord(payload []byte) (Record, error) {
-	r := recReader{buf: payload}
+	r := trace.NewReader(payload)
 	var rec Record
-	rec.Kind = recKind(r.byte1())
-	rec.Seq = r.u()
-	rec.Batch = r.str()
-	if r.err != nil {
-		return rec, r.err
+	rec.Kind = recKind(r.Byte())
+	rec.Seq = r.Uvarint()
+	rec.Batch = r.Str()
+	if err := r.Err(); err != nil {
+		return rec, err
 	}
 	switch rec.Kind {
 	case recRegister:
 		s := &rec.Spec
-		s.MeshW = r.int()
-		s.MeshH = r.int()
-		s.Seed = r.i()
-		s.Policy = r.str()
-		s.Faults = r.str()
+		s.MeshW = r.Int()
+		s.MeshH = r.Int()
+		s.Seed = r.Varint()
+		s.Policy = r.Str()
+		s.Faults = r.Str()
 	case recPool:
-		rec.Interleave = r.int()
+		rec.Interleave = r.Int()
 	case recAlloc:
-		if n := r.count(allocRequestMinLen); n > 0 {
+		if n := r.Count(allocRequestMinLen); n > 0 {
 			rec.Allocs = make([]AllocRequest, n)
 			for i := range rec.Allocs {
-				r.allocRequest(&rec.Allocs[i])
+				readAllocRequest(&r, &rec.Allocs[i])
 			}
 		}
 	case recFree:
-		if n := r.count(1); n > 0 {
+		if n := r.Count(1); n > 0 {
 			rec.Frees = make([]string, n)
 			for i := range rec.Frees {
-				rec.Frees[i] = r.str()
+				rec.Frees[i] = r.Str()
 			}
 		}
 	case recSnapshot:
-		rec.Snapshot.Allocs = r.u()
-		rec.Snapshot.LiveHandles = r.int()
-		rec.Snapshot.StateSum = r.str()
+		rec.Snapshot.Allocs = r.Uvarint()
+		rec.Snapshot.LiveHandles = r.Int()
+		rec.Snapshot.StateSum = r.Str()
 	default:
 		return rec, fmt.Errorf("unknown record kind %d", rec.Kind)
 	}
-	if r.err == nil && len(r.buf) > 0 {
-		r.fail(fmt.Sprintf("%d bytes after the record's last field", len(r.buf)))
-	}
-	return rec, r.err
+	return rec, r.End()
 }
 
-func (r *recReader) allocRequest(q *AllocRequest) {
-	q.ID = r.str()
-	q.Kind = r.str()
-	q.Mode = r.str()
-	q.ElemSize = r.int()
-	q.NumElem = r.i()
-	q.AlignTo = r.str()
-	q.AlignP = r.int()
-	q.AlignQ = r.int()
-	q.AlignX = r.i()
-	q.Partition = r.flag()
-	q.Size = r.i()
-	if n := r.count(2); n > 0 {
+func readAllocRequest(r *trace.Reader, q *AllocRequest) {
+	q.ID = r.Str()
+	q.Kind = r.Str()
+	q.Mode = r.Str()
+	q.ElemSize = r.Int()
+	q.NumElem = r.Varint()
+	q.AlignTo = r.Str()
+	q.AlignP = r.Int()
+	q.AlignQ = r.Int()
+	q.AlignX = r.Varint()
+	q.Partition = r.Flag()
+	q.Size = r.Varint()
+	if n := r.Count(2); n > 0 {
 		q.Affinity = make([]ElemRef, n)
 		for i := range q.Affinity {
-			q.Affinity[i] = ElemRef{Ref: r.str(), Elem: r.i()}
+			q.Affinity[i] = ElemRef{Ref: r.Str(), Elem: r.Varint()}
 		}
 	}
-	if n := r.count(1); n > 0 {
+	if n := r.Count(1); n > 0 {
 		q.BankProbe = make([]int64, n)
 		for i := range q.BankProbe {
-			q.BankProbe[i] = r.i()
+			q.BankProbe[i] = r.Varint()
 		}
 	}
 }
@@ -546,7 +439,7 @@ func parseJournal(path string, data []byte) (*journalLog, error) {
 			break
 		}
 		n := binary.LittleEndian.Uint32(rest)
-		if crc32.Checksum(rest[:4], journalCRC) != binary.LittleEndian.Uint32(rest[4:frameHeaderLen]) {
+		if trace.Checksum(rest[:4]) != binary.LittleEndian.Uint32(rest[4:frameHeaderLen]) {
 			return nil, &JournalError{Path: path, Line: line, Reason: "frame header fails its check"}
 		}
 		if n > maxFramePayload {
@@ -559,7 +452,7 @@ func parseJournal(path string, data []byte) (*journalLog, error) {
 			break
 		}
 		payload := rest[frameHeaderLen : end-frameTrailerLen]
-		if got, want := crc32.Checksum(payload, journalCRC), binary.LittleEndian.Uint32(rest[end-frameTrailerLen:]); got != want {
+		if got, want := trace.Checksum(payload), binary.LittleEndian.Uint32(rest[end-frameTrailerLen:]); got != want {
 			if len(rest) == end {
 				// A complete-looking final frame whose payload fails its
 				// crc: still the signature of an interrupted append (the

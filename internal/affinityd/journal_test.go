@@ -5,25 +5,24 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
 
 	"affinityalloc/internal/memsim"
+	"affinityalloc/internal/trace"
 )
 
 // frameDef frames payload by the format's definition, independently of
 // appendFrame: the payload length as u32 LE, crc32c of those four
 // bytes, the payload, and crc32c of the payload.
 func frameDef(payload []byte) []byte {
-	tab := crc32.MakeTable(crc32.Castagnoli)
 	var out []byte
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, tab))
+	out = binary.LittleEndian.AppendUint32(out, trace.Checksum(out))
 	out = append(out, payload...)
-	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, tab))
+	return binary.LittleEndian.AppendUint32(out, trace.Checksum(payload))
 }
 
 // frameSpans returns the [start, end) byte span of every whole frame
@@ -324,6 +323,118 @@ func TestJournalCorruptionFailsLoudly(t *testing.T) {
 		"unknown kind":          append([]byte{9}, pool[1:]...),
 	} {
 		expectLine(what, append(bytes.Clone(data[:spans[2][0]]), frameDef(payload)...), 4)
+	}
+}
+
+// TestJournalAppendAllocatesNothing pins the frame-buffer reuse: once
+// the journal's buffer has grown to an alloc record's frame, appending
+// that record again allocates nothing.
+func TestJournalAppendAllocatesNothing(t *testing.T) {
+	j, err := createJournal(t.TempDir(), "m000001", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.close()
+	rec := &Record{Kind: recAlloc, Batch: "b1", Allocs: []AllocRequest{
+		{ID: "a", ElemSize: 4, NumElem: 64, AlignP: 1, AlignQ: 2, Partition: true},
+		{ID: "n", Kind: KindNear, Size: 64, Affinity: []ElemRef{{Ref: "a", Elem: 2}}, BankProbe: []int64{1, -3}},
+	}}
+	if err := j.append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := j.append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("journal.append of an alloc record allocates %v times a call, want 0", n)
+	}
+}
+
+// TestReaderRefusesNonCanonical runs each form the shared afftrace/v1
+// reader refuses through both of its users, trace.Decode and
+// parseJournal. Every case places its field bytes in a frame that is
+// otherwise valid for each format, and the ok rows place canonical
+// bytes there, so a refusal is the field's doing.
+func TestReaderRefusesNonCanonical(t *testing.T) {
+	// The field kinds a case can fill, each as a payload prefix and
+	// suffix around the field, for a trace event frame and for a journal
+	// record (seq 2, after a register record).
+	type slot struct{ pre, post []byte }
+	allocReq := func(flag []byte) []byte { // ID, kind, mode, elem size, count, align to, p, q, x; flag; size, two counts
+		return append(append([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0}, flag...), 0, 0, 0)
+	}
+	traceSlots := map[string]slot{
+		// open_pool event, tenant 0: the interleave, an int field.
+		"int": {[]byte{2, 1, 0}, nil},
+		// access event, tenant 0, ref 0, gran 0, one touch of chunk 0:
+		// its read count, a 32-bit field, then its write count.
+		"wide": {[]byte{2, 4, 0, 0, 0, 1, 0}, []byte{0}},
+		// access event, tenant 0, ref 0, gran 0: the touch count.
+		"count": {[]byte{2, 4, 0, 0, 0}, nil},
+		// affine alloc event, tenant 0, zero fields and no error: the
+		// partition flag.
+		"flag": {[]byte{2, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}, []byte{0, 0, 0, 0, 0, 0, 0, 0, 0}},
+	}
+	journalSlots := map[string]slot{
+		// pool record: the interleave.
+		"int":  {[]byte{2, 2, 0}, nil},
+		"wide": {[]byte{2, 2, 0}, nil},
+		// free record: the ID count.
+		"count": {[]byte{4, 2, 0}, nil},
+		// alloc record with one request: its partition flag.
+		"flag": {[]byte{3, 2, 0, 1}, nil},
+	}
+	for _, tc := range []struct {
+		name, slot     string
+		trace, journal []byte // the field's bytes in each format
+		ok             bool
+	}{
+		{"ok int", "int", []byte{0x40}, []byte{0x40}, true},
+		{"ok count", "count", []byte{0}, []byte{0}, true},
+		{"ok flag", "flag", []byte{1}, []byte{1}, true},
+		{"ok wide", "wide", []byte{0xff, 0xff, 0xff, 0xff, 0x0f}, append(bytes.Repeat([]byte{0xff}, 9), 0x01), true},
+		{"padded varint", "int", []byte{0xc0, 0x00}, []byte{0xc0, 0x00}, false},
+		{"overlong varint", "int", append(bytes.Repeat([]byte{0x80}, 10), 1), append(bytes.Repeat([]byte{0x80}, 10), 1), false},
+		{"count past payload", "count", []byte{5}, []byte{5}, false},
+		{"flag byte of 2", "flag", []byte{2}, []byte{2}, false},
+		// A trace count holds 32 bits; a journal int is a zigzag varint,
+		// which overflows past 64 bits.
+		{"int overflow", "wide", []byte{0x80, 0x80, 0x80, 0x80, 0x10},
+			append(bytes.Repeat([]byte{0xff}, 9), 0x02), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := traceSlots[tc.slot]
+			ev := append(append(bytes.Clone(ts.pre), tc.trace...), ts.post...)
+			tr := trace.Encode(&trace.Trace{Scenarios: []*trace.Scenario{{}}})
+			tr = binary.AppendUvarint(tr, uint64(len(ev)))
+			tr = append(tr, ev...)
+			tr = binary.LittleEndian.AppendUint32(tr, trace.Checksum(ev))
+			if _, err := trace.Decode(tr); (err == nil) != tc.ok {
+				t.Errorf("trace.Decode: err = %v, want ok=%v", err, tc.ok)
+			}
+
+			js := journalSlots[tc.slot]
+			field := tc.journal
+			if tc.slot == "flag" {
+				field = allocReq(field)
+			}
+			rec := append(append(bytes.Clone(js.pre), field...), js.post...)
+			data := []byte(journalHeader("m000001"))
+			data, _ = appendFrame(data, &Record{Seq: 1, Kind: recRegister})
+			data = append(data, frameDef(rec)...)
+			_, err := parseJournal("m000001.waj", data)
+			if tc.ok {
+				if err != nil {
+					t.Errorf("parseJournal: %v, want ok", err)
+				}
+				return
+			}
+			var jerr *JournalError
+			if !errors.As(err, &jerr) || jerr.Line != 3 {
+				t.Errorf("parseJournal: err = %v, want a *JournalError at line 3", err)
+			}
+		})
 	}
 }
 

@@ -14,8 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"affinityalloc/internal/core"
-	"affinityalloc/internal/faults"
 	"affinityalloc/internal/sys"
 	"affinityalloc/internal/telemetry"
 )
@@ -147,27 +145,9 @@ func (s *Server) lookup(id string) *machine {
 }
 
 // buildConfig resolves a MachineSpec (with server defaults applied)
-// into a validated sys.Config.
+// into a sys.Config by the rule a trace scenario's header follows.
 func buildConfig(spec MachineSpec) (sys.Config, error) {
-	cfg := sys.DefaultConfig()
-	if spec.MeshW > 0 {
-		cfg.MeshW = spec.MeshW
-	}
-	if spec.MeshH > 0 {
-		cfg.MeshH = spec.MeshH
-	}
-	cfg.Seed = spec.Seed
-	pcfg, err := core.ParsePolicy(spec.Policy)
-	if err != nil {
-		return sys.Config{}, err
-	}
-	cfg.Policy = pcfg
-	fspec, err := faults.Parse(spec.Faults)
-	if err != nil {
-		return sys.Config{}, err
-	}
-	cfg.Faults = fspec
-	return cfg, nil
+	return spec.scenario().Config()
 }
 
 // merge fills zero fields of spec from the server defaults.

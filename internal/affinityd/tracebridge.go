@@ -43,6 +43,18 @@ type TraceStep struct {
 // wireID names allocation ordinal n (1-based) on the wire.
 func wireID(n int64) string { return fmt.Sprintf("a%d", n) }
 
+// scenario returns a scenario whose machine header holds spec's five
+// fields; SpecOf is its inverse.
+func (spec MachineSpec) scenario() *trace.Scenario {
+	return &trace.Scenario{MeshW: spec.MeshW, MeshH: spec.MeshH, Seed: spec.Seed, Policy: spec.Policy, Faults: spec.Faults}
+}
+
+// SpecOf returns the machine spec a scenario's header describes: the
+// machine to register for a wire replay of it.
+func SpecOf(sc *trace.Scenario) MachineSpec {
+	return MachineSpec{MeshW: sc.MeshW, MeshH: sc.MeshH, Seed: sc.Seed, Policy: sc.Policy, Faults: sc.Faults}
+}
+
 // ScenarioFromStream lowers one StreamGen tenant stream — the identical
 // seeded request sequence affload sends — into a single-tenant trace
 // scenario. Wire request IDs become 1-based allocation ordinals;
@@ -52,22 +64,16 @@ func ScenarioFromStream(spec MachineSpec, seed int64, stream, ops, batch int) (*
 	if ops < 1 || batch < 1 {
 		return nil, fmt.Errorf("affinityd: want ops/batch >= 1, got %d/%d", ops, batch)
 	}
-	cfg := sys.DefaultConfig()
-	sc := &trace.Scenario{
-		Label:  fmt.Sprintf("stream-%d", stream),
-		Mode:   sys.AffAlloc.String(),
-		MeshW:  cfg.MeshW,
-		MeshH:  cfg.MeshH,
-		Seed:   spec.Seed,
-		Policy: spec.Policy,
-		Faults: spec.Faults,
+	sc := spec.scenario()
+	sc.Label = fmt.Sprintf("stream-%d", stream)
+	sc.Mode = sys.AffAlloc.String()
+	// The header records the shape the machine gets, defaults filled in,
+	// so a daemon with other fleet defaults rebuilds the same machine.
+	cfg, err := sc.Config()
+	if err != nil {
+		return nil, fmt.Errorf("affinityd: stream %d: %w", stream, err)
 	}
-	if spec.MeshW > 0 {
-		sc.MeshW = spec.MeshW
-	}
-	if spec.MeshH > 0 {
-		sc.MeshH = spec.MeshH
-	}
+	sc.MeshW, sc.MeshH = cfg.MeshW, cfg.MeshH
 	ids := map[string]int64{} // wire ID -> allocation ordinal
 	for _, step := range StreamSteps(seed, stream, ops, batch) {
 		for i := range step.Allocs {
@@ -143,7 +149,7 @@ func StepsFromScenario(sc *trace.Scenario, batch int) ([]TraceStep, error) {
 	if batch < 1 {
 		batch = 16
 	}
-	defMode, err := scenarioMode(sc)
+	defMode, err := sc.ResolveMode()
 	if err != nil {
 		return nil, err
 	}
@@ -199,27 +205,6 @@ func StepsFromScenario(sc *trace.Scenario, batch int) ([]TraceStep, error) {
 	return steps, nil
 }
 
-// scenarioMode resolves the scenario-level default mode, as Replay does
-// with zero options.
-func scenarioMode(sc *trace.Scenario) (sys.Mode, error) {
-	if sc.Mode == "" {
-		return sys.AffAlloc, nil
-	}
-	return sys.ParseMode(sc.Mode)
-}
-
-// effectiveMode is the mode one allocation event ran under: the event's
-// own mode when set, the scenario default otherwise (replayAlloc's
-// resolution rule).
-func effectiveMode(e *trace.Event, def sys.Mode) sys.Mode {
-	if e.Mode != "" {
-		if m, err := sys.ParseMode(e.Mode); err == nil {
-			return m
-		}
-	}
-	return def
-}
-
 // requestFromEvent lifts one allocation event to a wire request whose
 // server-side allocator call sequence matches the replay engine's:
 //
@@ -234,7 +219,7 @@ func effectiveMode(e *trace.Event, def sys.Mode) sys.Mode {
 //     affine request with ElemSize 1, which executes exactly
 //     RT.AllocBase(size), the call replayAlloc makes for both.
 func requestFromEvent(e *trace.Event, defMode sys.Mode, ord int64, failed map[int64]bool) (AllocRequest, error) {
-	emode := effectiveMode(e, defMode)
+	emode := e.ResolveMode(defMode)
 	req := AllocRequest{ID: wireID(ord)}
 	if emode != sys.AffAlloc {
 		req.Mode = emode.String()
@@ -300,7 +285,7 @@ func requestFromEvent(e *trace.Event, defMode sys.Mode, ord int64, failed map[in
 // placements the wire response carries derived values (BankOf remaps,
 // chunk geometry) that the replay result intentionally leaves unset.
 func DiffReplay(sc *trace.Scenario, res *trace.Result, wire map[string]Placement) ([]string, error) {
-	defMode, err := scenarioMode(sc)
+	defMode, err := sc.ResolveMode()
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +324,7 @@ func DiffReplay(sc *trace.Scenario, res *trace.Result, wire map[string]Placement
 				id, w.Base, w.Interleave, rep.Base, rep.Interleave))
 			continue
 		}
-		if e.Op == trace.OpAffine && effectiveMode(e, defMode) == sys.AffAlloc &&
+		if e.Op == trace.OpAffine && e.ResolveMode(defMode) == sys.AffAlloc &&
 			(w.ElemStride != rep.Stride || w.StartBank != rep.StartBank || w.PageMapped != rep.PageMapped) {
 			diffs = append(diffs, fmt.Sprintf("%s: wire stride=%d bank=%d mapped=%v vs replay stride=%d bank=%d mapped=%v",
 				id, w.ElemStride, w.StartBank, w.PageMapped, rep.Stride, rep.StartBank, rep.PageMapped))

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"testing"
 
 	"affinityalloc/internal/faults"
@@ -126,7 +125,7 @@ func withShardSlots(t *testing.T, bin []byte, n byte) []byte {
 			t.Fatalf("binary header layout changed: byte %d of a scenario frame is not the shard slot's 0", q)
 		}
 		payload[q] = n
-		binary.LittleEndian.PutUint32(out[p-4:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+		binary.LittleEndian.PutUint32(out[p-4:], trace.Checksum(payload))
 		patched++
 	}
 	if patched == 0 {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
 )
 
 // Binary encoding: an 8-byte magic, then one frame per record. Each
@@ -31,226 +29,125 @@ const (
 	maxFrame = 1 << 26
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// kindBytes and opBytes give each event kind and alloc op its byte in
+// the binary encoding: its index. Byte 0 names nothing, so an unknown
+// kind or op encodes to 0 and the decoder refuses it.
+var (
+	kindBytes = []string{1: KindOpenPool, KindAlloc, KindFree, KindAccess, KindPreload, KindStream}
+	opBytes   = []string{1: OpAffine, OpAffineBank, OpNear, OpNearBank, OpBase}
+)
 
-// kind/op <-> byte tables for the binary encoding.
-var kindToByte = map[string]byte{
-	KindOpenPool: 1, KindAlloc: 2, KindFree: 3,
-	KindAccess: 4, KindPreload: 5, KindStream: 6,
-}
-var byteToKind = map[byte]string{
-	1: KindOpenPool, 2: KindAlloc, 3: KindFree,
-	4: KindAccess, 5: KindPreload, 6: KindStream,
-}
-var opToByte = map[string]byte{
-	OpAffine: 1, OpAffineBank: 2, OpNear: 3, OpNearBank: 4, OpBase: 5,
-}
-var byteToOp = map[byte]string{
-	1: OpAffine, 2: OpAffineBank, 3: OpNear, 4: OpNearBank, 5: OpBase,
-}
-
-// binWriter accumulates one frame payload.
-type binWriter struct{ buf []byte }
-
-func (w *binWriter) u(v uint64)   { w.buf = binary.AppendUvarint(w.buf, v) }
-func (w *binWriter) i(v int64)    { w.buf = binary.AppendVarint(w.buf, v) }
-func (w *binWriter) b(v bool)     { w.buf = append(w.buf, boolByte(v)) }
-func (w *binWriter) byte1(v byte) { w.buf = append(w.buf, v) }
-func (w *binWriter) str(s string) { w.u(uint64(len(s))); w.buf = append(w.buf, s...) }
-
-func boolByte(v bool) byte {
-	if v {
-		return 1
+// byteOf returns name's byte in table, or 0 when table has no name.
+func byteOf(table []string, name string) byte {
+	for b := 1; b < len(table); b++ {
+		if table[b] == name {
+			return byte(b)
+		}
 	}
 	return 0
 }
 
-// binReader consumes one frame payload; every read error poisons it.
-type binReader struct {
-	buf []byte
-	err error
-}
-
-func (r *binReader) fail(msg string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("trace: %s", msg)
+// nameOf returns the name byte b stands for in table, or "" for none.
+func nameOf(table []string, b byte) string {
+	if int(b) < len(table) {
+		return table[b]
 	}
-}
-
-func (r *binReader) u() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.fail("truncated uvarint")
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *binReader) i() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.buf)
-	if n <= 0 {
-		r.fail("truncated varint")
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *binReader) b() bool { return r.byte1() != 0 }
-
-func (r *binReader) byte1() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) == 0 {
-		r.fail("truncated byte")
-		return 0
-	}
-	v := r.buf[0]
-	r.buf = r.buf[1:]
-	return v
-}
-
-func (r *binReader) str() string {
-	n := r.u()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.buf)) {
-		r.fail("truncated string")
-		return ""
-	}
-	s := string(r.buf[:n])
-	r.buf = r.buf[n:]
-	return s
-}
-
-// count reads a list length and rejects counts that cannot fit in the
-// remaining payload (each element takes >= perElem bytes), so a fuzzed
-// length cannot force a huge allocation.
-func (r *binReader) count(perElem int) int {
-	n := r.u()
-	if r.err != nil {
-		return 0
-	}
-	if n > uint64(len(r.buf)/perElem)+1 || n > math.MaxInt32 {
-		r.fail("list count exceeds payload")
-		return 0
-	}
-	return int(n)
-}
-
-// intOr converts with a range check (decoders must not let a fuzzed
-// 64-bit value wrap an int field).
-func (r *binReader) intv() int {
-	v := r.u()
-	if v > math.MaxInt32 {
-		r.fail("int field out of range")
-		return 0
-	}
-	return int(v)
+	return ""
 }
 
 // Encode serializes a trace to the framed binary form.
 func Encode(t *Trace) []byte {
 	out := append([]byte(nil), binMagic...)
-	frame := func(payload []byte) {
-		out = binary.AppendUvarint(out, uint64(len(payload)))
-		out = append(out, payload...)
-		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
+	var w Writer
+	frame := func() {
+		out = binary.AppendUvarint(out, uint64(len(w.Buf)))
+		out = append(out, w.Buf...)
+		out = binary.LittleEndian.AppendUint32(out, Checksum(w.Buf))
+		w.Buf = w.Buf[:0]
 	}
 	for _, sc := range t.Scenarios {
-		var w binWriter
-		w.byte1(frameScenario)
-		w.str(sc.Label)
-		w.str(sc.Mode)
-		w.u(uint64(sc.MeshW))
-		w.u(uint64(sc.MeshH))
-		w.i(sc.Seed)
-		w.str(sc.Policy)
-		w.str(sc.Faults)
-		w.u(0) // retired shard-count slot, kept so afftrace/v1 stays readable
-		w.u(uint64(len(sc.Tenants)))
+		w.Byte(frameScenario)
+		w.Str(sc.Label)
+		w.Str(sc.Mode)
+		w.Uvarint(uint64(sc.MeshW))
+		w.Uvarint(uint64(sc.MeshH))
+		w.Varint(sc.Seed)
+		w.Str(sc.Policy)
+		w.Str(sc.Faults)
+		w.Uvarint(0) // retired shard-count slot, kept so afftrace/v1 stays readable
+		w.Uvarint(uint64(len(sc.Tenants)))
 		for _, t := range sc.Tenants {
-			w.str(t)
+			w.Str(t)
 		}
-		w.u(sc.Cycles)
-		frame(w.buf)
+		w.Uvarint(sc.Cycles)
+		frame()
 		for i := range sc.Events {
-			frame(encodeEvent(&sc.Events[i]))
+			encodeEvent(&w, &sc.Events[i])
+			frame()
 		}
 	}
 	return out
 }
 
-func encodeEvent(e *Event) []byte {
-	var w binWriter
-	w.byte1(frameEvent)
-	w.byte1(kindToByte[e.Kind])
-	w.u(uint64(e.Tenant))
+func encodeEvent(w *Writer, e *Event) {
+	w.Byte(frameEvent)
+	w.Byte(byteOf(kindBytes, e.Kind))
+	w.Uvarint(uint64(e.Tenant))
 	switch e.Kind {
 	case KindOpenPool:
-		w.u(uint64(e.Interleave))
+		w.Uvarint(uint64(e.Interleave))
 	case KindAlloc:
-		w.byte1(opToByte[e.Op])
-		w.str(e.Mode)
-		w.u(uint64(e.ElemSize))
-		w.u(uint64(e.NumElem))
-		w.u(uint64(e.AlignRef))
-		w.u(e.AlignRaw)
-		w.u(uint64(e.AlignP))
-		w.u(uint64(e.AlignQ))
-		w.i(e.AlignX)
-		w.b(e.Part)
-		w.u(uint64(e.Size))
-		w.u(uint64(e.Bank))
-		w.u(uint64(len(e.Affinity)))
+		w.Byte(byteOf(opBytes, e.Op))
+		w.Str(e.Mode)
+		w.Uvarint(uint64(e.ElemSize))
+		w.Uvarint(uint64(e.NumElem))
+		w.Uvarint(uint64(e.AlignRef))
+		w.Uvarint(e.AlignRaw)
+		w.Uvarint(uint64(e.AlignP))
+		w.Uvarint(uint64(e.AlignQ))
+		w.Varint(e.AlignX)
+		w.Flag(e.Part)
+		w.Uvarint(uint64(e.Size))
+		w.Uvarint(uint64(e.Bank))
+		w.Uvarint(uint64(len(e.Affinity)))
 		for _, ref := range e.Affinity {
-			w.u(uint64(ref.Ref))
-			w.i(ref.Elem)
-			w.i(ref.Off)
-			w.u(ref.Raw)
+			w.Uvarint(uint64(ref.Ref))
+			w.Varint(ref.Elem)
+			w.Varint(ref.Off)
+			w.Uvarint(ref.Raw)
 		}
-		w.u(e.Base)
-		w.u(uint64(e.ResIl))
-		w.u(uint64(e.Stride))
-		w.u(uint64(e.StartBank))
-		w.b(e.PageMapped)
-		w.str(e.Err)
+		w.Uvarint(e.Base)
+		w.Uvarint(uint64(e.ResIl))
+		w.Uvarint(uint64(e.Stride))
+		w.Uvarint(uint64(e.StartBank))
+		w.Flag(e.PageMapped)
+		w.Str(e.Err)
 	case KindFree:
-		w.u(uint64(e.Ref))
-		w.u(e.Raw)
+		w.Uvarint(uint64(e.Ref))
+		w.Uvarint(e.Raw)
 	case KindAccess:
-		w.u(uint64(e.Ref))
-		w.u(uint64(e.Gran))
-		w.u(uint64(len(e.Touches)))
+		w.Uvarint(uint64(e.Ref))
+		w.Uvarint(uint64(e.Gran))
+		w.Uvarint(uint64(len(e.Touches)))
 		for _, t := range e.Touches {
-			w.u(uint64(t.Chunk))
-			w.u(uint64(t.Reads))
-			w.u(uint64(t.Writes))
+			w.Uvarint(uint64(t.Chunk))
+			w.Uvarint(uint64(t.Reads))
+			w.Uvarint(uint64(t.Writes))
 		}
 	case KindPreload:
-		w.u(uint64(e.Ref))
-		w.u(uint64(e.Off))
-		w.u(uint64(e.Size))
+		w.Uvarint(uint64(e.Ref))
+		w.Uvarint(uint64(e.Off))
+		w.Uvarint(uint64(e.Size))
 	case KindStream:
 		for _, fs := range [][]Flow{e.Offloads, e.Migs} {
-			w.u(uint64(len(fs)))
+			w.Uvarint(uint64(len(fs)))
 			for _, f := range fs {
-				w.u(uint64(f.From))
-				w.u(uint64(f.To))
-				w.u(uint64(f.N))
+				w.Uvarint(uint64(f.From))
+				w.Uvarint(uint64(f.To))
+				w.Uvarint(uint64(f.N))
 			}
 		}
 	}
-	return w.buf
 }
 
 // Decode parses the framed binary form, validating structure so a
@@ -263,9 +160,9 @@ func Decode(data []byte) (*Trace, error) {
 	t := &Trace{}
 	var cur *Scenario
 	for len(data) > 0 {
-		n, sz := binary.Uvarint(data)
+		n, sz := uvarint(data)
 		if sz <= 0 {
-			return nil, fmt.Errorf("trace: truncated frame length")
+			return nil, fmt.Errorf("trace: bad frame length")
 		}
 		if n > maxFrame {
 			return nil, fmt.Errorf("trace: frame of %d bytes exceeds cap", n)
@@ -275,31 +172,30 @@ func Decode(data []byte) (*Trace, error) {
 			return nil, fmt.Errorf("trace: truncated frame")
 		}
 		payload := rest[:n]
-		sum := binary.LittleEndian.Uint32(rest[n : n+4])
-		if crc32.Checksum(payload, crcTable) != sum {
+		if Checksum(payload) != binary.LittleEndian.Uint32(rest[n:n+4]) {
 			return nil, fmt.Errorf("trace: frame CRC mismatch")
 		}
 		data = rest[n+4:]
 
-		r := &binReader{buf: payload}
-		switch ft := r.byte1(); ft {
+		r := NewReader(payload)
+		switch ft := r.Byte(); ft {
 		case frameScenario:
 			sc := &Scenario{}
-			sc.Label = r.str()
-			sc.Mode = r.str()
-			sc.MeshW = r.intv()
-			sc.MeshH = r.intv()
-			sc.Seed = r.i()
-			sc.Policy = r.str()
-			sc.Faults = r.str()
-			r.intv() // retired shard-count slot: read and discarded
-			nt := r.count(1)
+			sc.Label = r.Str()
+			sc.Mode = r.Str()
+			sc.MeshW = r.Nat()
+			sc.MeshH = r.Nat()
+			sc.Seed = r.Varint()
+			sc.Policy = r.Str()
+			sc.Faults = r.Str()
+			r.Nat() // retired shard-count slot: read and discarded
+			nt := r.Count(1)
 			for i := 0; i < nt && r.err == nil; i++ {
-				sc.Tenants = append(sc.Tenants, r.str())
+				sc.Tenants = append(sc.Tenants, r.Str())
 			}
-			sc.Cycles = r.u()
-			if r.err != nil {
-				return nil, r.err
+			sc.Cycles = r.Uvarint()
+			if err := r.End(); err != nil {
+				return nil, fmt.Errorf("trace: scenario frame: %w", err)
 			}
 			t.Scenarios = append(t.Scenarios, sc)
 			cur = sc
@@ -307,7 +203,7 @@ func Decode(data []byte) (*Trace, error) {
 			if cur == nil {
 				return nil, fmt.Errorf("trace: event frame before any scenario")
 			}
-			e, err := decodeEvent(r)
+			e, err := decodeEvent(&r)
 			if err != nil {
 				return nil, err
 			}
@@ -322,82 +218,76 @@ func Decode(data []byte) (*Trace, error) {
 	return t, nil
 }
 
-func decodeEvent(r *binReader) (Event, error) {
+func decodeEvent(r *Reader) (Event, error) {
 	var e Event
-	kb := r.byte1()
-	kind, ok := byteToKind[kb]
-	if !ok {
+	kb := r.Byte()
+	e.Kind = nameOf(kindBytes, kb)
+	if e.Kind == "" {
 		return e, fmt.Errorf("trace: unknown event kind byte %d", kb)
 	}
-	e.Kind = kind
-	e.Tenant = r.intv()
-	switch kind {
+	e.Tenant = r.Nat()
+	switch e.Kind {
 	case KindOpenPool:
-		e.Interleave = r.intv()
+		e.Interleave = r.Nat()
 	case KindAlloc:
-		ob := r.byte1()
-		op, ok := byteToOp[ob]
-		if !ok && r.err == nil {
+		ob := r.Byte()
+		e.Op = nameOf(opBytes, ob)
+		if e.Op == "" && r.err == nil {
 			return e, fmt.Errorf("trace: unknown alloc op byte %d", ob)
 		}
-		e.Op = op
-		e.Mode = r.str()
-		e.ElemSize = r.intv()
-		e.NumElem = int64(r.u())
-		e.AlignRef = int64(r.u())
-		e.AlignRaw = r.u()
-		e.AlignP = r.intv()
-		e.AlignQ = r.intv()
-		e.AlignX = r.i()
-		e.Part = r.b()
-		e.Size = int64(r.u())
-		e.Bank = r.intv()
-		na := r.count(4)
+		e.Mode = r.Str()
+		e.ElemSize = r.Nat()
+		e.NumElem = int64(r.Uvarint())
+		e.AlignRef = int64(r.Uvarint())
+		e.AlignRaw = r.Uvarint()
+		e.AlignP = r.Nat()
+		e.AlignQ = r.Nat()
+		e.AlignX = r.Varint()
+		e.Part = r.Flag()
+		e.Size = int64(r.Uvarint())
+		e.Bank = r.Nat()
+		na := r.Count(4)
 		for i := 0; i < na && r.err == nil; i++ {
 			e.Affinity = append(e.Affinity, Ref{
-				Ref: int64(r.u()), Elem: r.i(), Off: r.i(), Raw: r.u(),
+				Ref: int64(r.Uvarint()), Elem: r.Varint(), Off: r.Varint(), Raw: r.Uvarint(),
 			})
 		}
-		e.Base = r.u()
-		e.ResIl = r.intv()
-		e.Stride = r.intv()
-		e.StartBank = r.intv()
-		e.PageMapped = r.b()
-		e.Err = r.str()
+		e.Base = r.Uvarint()
+		e.ResIl = r.Nat()
+		e.Stride = r.Nat()
+		e.StartBank = r.Nat()
+		e.PageMapped = r.Flag()
+		e.Err = r.Str()
 	case KindFree:
-		e.Ref = int64(r.u())
-		e.Raw = r.u()
+		e.Ref = int64(r.Uvarint())
+		e.Raw = r.Uvarint()
 	case KindAccess:
-		e.Ref = int64(r.u())
-		e.Gran = int64(r.u())
-		nt := r.count(3)
+		e.Ref = int64(r.Uvarint())
+		e.Gran = int64(r.Uvarint())
+		nt := r.Count(3)
 		for i := 0; i < nt && r.err == nil; i++ {
 			e.Touches = append(e.Touches, Touch{
-				Chunk: int64(r.u()), Reads: uint32(r.u()), Writes: uint32(r.u()),
+				Chunk: int64(r.Uvarint()), Reads: r.Uint32(), Writes: r.Uint32(),
 			})
 		}
 	case KindPreload:
-		e.Ref = int64(r.u())
-		e.Off = int64(r.u())
-		e.Size = int64(r.u())
+		e.Ref = int64(r.Uvarint())
+		e.Off = int64(r.Uvarint())
+		e.Size = int64(r.Uvarint())
 	case KindStream:
-		for li := 0; li < 2; li++ {
-			nf := r.count(3)
-			for i := 0; i < nf && r.err == nil; i++ {
-				f := Flow{From: r.intv(), To: r.intv(), N: uint32(r.u())}
-				if li == 0 {
-					e.Offloads = append(e.Offloads, f)
-				} else {
-					e.Migs = append(e.Migs, f)
-				}
-			}
-		}
+		e.Offloads = decodeFlows(r)
+		e.Migs = decodeFlows(r)
 	}
-	if r.err != nil {
-		return e, r.err
-	}
-	if len(r.buf) != 0 {
-		return e, fmt.Errorf("trace: %d trailing bytes in event frame", len(r.buf))
+	if err := r.End(); err != nil {
+		return e, fmt.Errorf("trace: event frame: %w", err)
 	}
 	return e, nil
+}
+
+func decodeFlows(r *Reader) []Flow {
+	var fs []Flow
+	for i, n := 0, r.Count(3); i < n && r.err == nil; i++ {
+		fs = append(fs, Flow{From: r.Nat(), To: r.Nat(), N: r.Uint32()})
+	}
+	return fs
 }

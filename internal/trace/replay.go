@@ -94,7 +94,7 @@ type tenantState struct {
 func Replay(sc *Scenario, opt Options) (*Result, error) {
 	cfg, err := sc.Config()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace: scenario %q: %v", sc.Label, err)
 	}
 	if opt.Policy != "" {
 		p, perr := core.ParsePolicy(opt.Policy)
@@ -103,11 +103,9 @@ func Replay(sc *Scenario, opt Options) (*Result, error) {
 		}
 		cfg.Policy = p
 	}
-	mode := sys.AffAlloc
-	if sc.Mode != "" {
-		if mode, err = sys.ParseMode(sc.Mode); err != nil {
-			return nil, err
-		}
+	mode, err := sc.ResolveMode()
+	if err != nil {
+		return nil, err
 	}
 	s, err := sys.New(cfg)
 	if err != nil {
@@ -224,12 +222,7 @@ func resolveRef(s *sys.System, ts *tenantState, r Ref) (memsim.Addr, bool) {
 // workload/service layer would have called: affinity-aware ops go to
 // the runtime under Aff-Alloc and to the baseline allocator otherwise.
 func replayAlloc(s *sys.System, mode sys.Mode, ts *tenantState, e *Event) Placement {
-	emode := mode
-	if e.Mode != "" {
-		if m, err := sys.ParseMode(e.Mode); err == nil {
-			emode = m
-		}
-	}
+	emode := e.ResolveMode(mode)
 	ts.nextID++
 	h := &handle{op: e.Op}
 	p := Placement{Tenant: e.Tenant, ID: ts.nextID, Op: e.Op, StartBank: -1}

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"flag"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"affinityalloc/internal/sys"
@@ -56,6 +56,34 @@ func TestEncodingRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(trace.Encode(got), bin) {
 		t.Error("binary round trip is not bit-stable")
+	}
+}
+
+// Every trace Validate accepts must decode back from its encoding: an
+// int field the decoder would refuse as out of range is refused by
+// Validate first. The rows are recordable — core.Runtime.OpenPool
+// reports its interleave before it checks it — and each holds one value
+// that fits an int but not the encoding's int fields, except the valid
+// row, which holds the largest value they take.
+func TestValidatedTraceRoundTrips(t *testing.T) {
+	for name, e := range map[string]trace.Event{
+		"valid open_pool interleave 1<<31-1": {Kind: trace.KindOpenPool, Interleave: 1<<31 - 1},
+		"open_pool interleave -1":            {Kind: trace.KindOpenPool, Interleave: -1},
+		"open_pool interleave 1<<31":         {Kind: trace.KindOpenPool, Interleave: 1 << 31},
+		"affine align_p -1":                  {Kind: trace.KindAlloc, Op: trace.OpAffine, ElemSize: 4, NumElem: 8, AlignP: -1},
+		"stream flow from -1":                {Kind: trace.KindStream, Migs: []trace.Flow{{From: -1, To: 2, N: 1}}},
+		"near elem size 1<<31":               {Kind: trace.KindAlloc, Op: trace.OpNear, ElemSize: 1 << 31, Size: 64},
+	} {
+		tr := &trace.Trace{Scenarios: []*trace.Scenario{{Label: name, Events: []trace.Event{e}}}}
+		if err := tr.Validate(); err != nil {
+			if strings.HasPrefix(name, "valid") {
+				t.Errorf("%s: Validate refuses it: %v", name, err)
+			}
+			continue
+		}
+		if _, err := trace.Decode(trace.Encode(tr)); err != nil {
+			t.Errorf("%s: Validate accepts the trace but its encoding does not decode: %v", name, err)
+		}
 	}
 }
 
@@ -170,7 +198,7 @@ func withShardSlots(t *testing.T, bin []byte, n byte) []byte {
 			t.Fatalf("binary header layout changed: byte %d of a scenario frame is not the shard slot's 0", q)
 		}
 		payload[q] = n
-		binary.LittleEndian.PutUint32(out[p-4:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+		binary.LittleEndian.PutUint32(out[p-4:], trace.Checksum(payload))
 		patched++
 	}
 	if patched == 0 {

@@ -26,6 +26,9 @@
 // One encoding carries a trace: a length-framed, CRC-checked binary
 // stream (binary.go), fuzzed, and pinned by the committed example
 // trace in testdata. ReadFile and WriteFile use it whatever the path.
+// Its payload codec (codec.go: Writer, Reader, Checksum) is exported
+// because affinityd's write-ahead journal frames its records with the
+// same codec.
 package trace
 
 import (
@@ -202,9 +205,32 @@ func (s *Scenario) AllocCount(tenant int) int64 {
 	return n
 }
 
+// ResolveMode is the scenario's default execution mode: its recorded
+// Mode, or Aff-Alloc when none is recorded.
+func (s *Scenario) ResolveMode() (sys.Mode, error) {
+	if s.Mode == "" {
+		return sys.AffAlloc, nil
+	}
+	return sys.ParseMode(s.Mode)
+}
+
+// ResolveMode is the mode an allocation event runs under when its
+// scenario runs under def: the event's own Mode when set, def
+// otherwise.
+func (e *Event) ResolveMode(def sys.Mode) sys.Mode {
+	if e.Mode != "" {
+		if m, err := sys.ParseMode(e.Mode); err == nil {
+			return m
+		}
+	}
+	return def
+}
+
 // Config rebuilds a sys.Config equivalent to the one the scenario was
 // recorded under: sys defaults with the scenario's recorded shape,
-// seed, policy and faults applied.
+// seed, policy and faults applied, zero shape fields and empty specs
+// keeping the defaults. It is also how affinityd builds a machine from
+// a wire MachineSpec, which carries the same five fields.
 func (s *Scenario) Config() (sys.Config, error) {
 	cfg := sys.DefaultConfig()
 	if s.MeshW > 0 {
@@ -217,14 +243,14 @@ func (s *Scenario) Config() (sys.Config, error) {
 	if s.Policy != "" {
 		p, err := core.ParsePolicy(s.Policy)
 		if err != nil {
-			return cfg, fmt.Errorf("trace: scenario %q: %v", s.Label, err)
+			return cfg, err
 		}
 		cfg.Policy = p
 	}
 	if s.Faults != "" {
 		f, err := faults.Parse(s.Faults)
 		if err != nil {
-			return cfg, fmt.Errorf("trace: scenario %q: %v", s.Label, err)
+			return cfg, err
 		}
 		cfg.Faults = f
 	}
@@ -233,8 +259,9 @@ func (s *Scenario) Config() (sys.Config, error) {
 
 // Validate checks the structural invariants replay depends on: known
 // event kinds and ops, refs that point at already-seen allocations of
-// the same tenant, and sane sizes. Decoders call it so a fuzzer cannot
-// construct a trace that panics replay.
+// the same tenant, sane sizes, and int fields the binary encoding can
+// carry, so every trace it accepts decodes back. Decoders call it so a
+// fuzzer cannot construct a trace that panics replay.
 func (t *Trace) Validate() error {
 	for si, sc := range t.Scenarios {
 		if err := sc.Validate(); err != nil {
@@ -246,10 +273,11 @@ func (t *Trace) Validate() error {
 
 // Validate checks one scenario (see Trace.Validate).
 func (s *Scenario) Validate() error {
-	if s.Mode != "" {
-		if _, err := sys.ParseMode(s.Mode); err != nil {
-			return err
-		}
+	if _, err := s.ResolveMode(); err != nil {
+		return err
+	}
+	if !nats(s.MeshW, s.MeshH) {
+		return fmt.Errorf("mesh %dx%d out of range", s.MeshW, s.MeshH)
 	}
 	allocs := map[int]int64{} // tenant -> alloc events seen
 	checkRef := func(tenant int, ref int64) error {
@@ -265,10 +293,16 @@ func (s *Scenario) Validate() error {
 		}
 		switch e.Kind {
 		case KindOpenPool:
+			if !nats(e.Interleave) {
+				return fmt.Errorf("event %d: interleave %d out of range", ei, e.Interleave)
+			}
 		case KindAlloc:
+			if !nats(e.ElemSize, e.AlignP, e.AlignQ, e.Bank, e.ResIl, e.Stride, e.StartBank) {
+				return fmt.Errorf("event %d: negative or oversized int field", ei)
+			}
 			switch e.Op {
 			case OpAffine, OpAffineBank:
-				if e.ElemSize < 0 || e.NumElem < 0 {
+				if e.NumElem < 0 {
 					return fmt.Errorf("event %d: negative affine spec", ei)
 				}
 				if err := checkRef(e.Tenant, e.AlignRef); err != nil {
@@ -311,11 +345,29 @@ func (s *Scenario) Validate() error {
 				return fmt.Errorf("event %d: preload: %v", ei, err)
 			}
 		case KindStream:
+			for _, fs := range [][]Flow{e.Offloads, e.Migs} {
+				for _, f := range fs {
+					if !nats(f.From, f.To) {
+						return fmt.Errorf("event %d: flow %d->%d out of range", ei, f.From, f.To)
+					}
+				}
+			}
 		default:
 			return fmt.Errorf("event %d: unknown kind %q", ei, e.Kind)
 		}
 	}
 	return nil
+}
+
+// nats reports whether every v fits an int field of the binary
+// encoding (Reader.Nat): 0 through math.MaxInt32.
+func nats(vs ...int) bool {
+	for _, v := range vs {
+		if v < 0 || v > maxNat {
+			return false
+		}
+	}
+	return true
 }
 
 // maxTenants bounds the tenant namespace; it exists so a fuzzed trace
